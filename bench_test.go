@@ -583,6 +583,47 @@ func BenchmarkControllerMillion(b *testing.B) {
 	}
 }
 
+// BenchmarkEASYPolicyMillion replays the Million model cut to 67k jobs
+// under classic EASY and the paper's policy (BSLDth 2, WQth 4): the queued
+// regime the policy acts in, ~18k jobs running while ~2% of passes end
+// with jobs waiting, so every blocked pass runs the shadow sweep over the
+// release schedule. The never-queued EASY Million replays above never
+// reach that sweep. peak-heap-MB is the replay's own high-water above
+// the heap earlier benchmarks left. Optimized mode only; its schedule
+// equals the seed and flat-slice references'
+// (TestCompatModesProduceIdenticalSchedules). Results are recorded in
+// BENCH_sched.json; TestEASYReleaseIndexLazyAndCurrent in internal/sched
+// is the exact guard against a per-pass re-sort.
+func BenchmarkEASYPolicyMillion(b *testing.B) {
+	const jobs = 67_000
+	tightGC(b)
+	heap := metrics.NewHeapWatermark(0)
+	sc, err := scenario.Compile(scenario.Spec{
+		Workload:       "Million",
+		Jobs:           jobs,
+		Policy:         scenario.PolicyConfig{BSLDThr: 2, WQThr: 4},
+		ExtraRecorders: []sched.Recorder{heap},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(fmt.Sprintf("jobs=%d/optimized", jobs), func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := sc.Execute()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if out.Results.Jobs != jobs {
+				b.Fatalf("completed %d jobs, want %d", out.Results.Jobs, jobs)
+			}
+		}
+		b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
+		b.ReportMetric(heap.PeakMB(), "peak-heap-MB")
+	})
+}
+
 // BenchmarkConservativeTenMillion replays the full TenMillion preset
 // under conservative backfilling through the streaming pipeline —
 // replanning at the scale PR 4 opened for EASY. Optimized-only: the

@@ -81,8 +81,8 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
-	log.Printf("schedd: bye (hits=%d misses=%d errors=%d)",
-		s.hits.Load(), s.misses.Load(), s.errors.Load())
+	log.Printf("schedd: bye (hits=%d misses=%d simulations=%d errors=%d)",
+		s.hits.Load(), s.misses.Load(), s.simulations.Load(), s.errors.Load())
 }
 
 func fatal(err error) {

@@ -45,7 +45,10 @@ type server struct {
 	mu       sync.Mutex
 	inflight map[string]*flight // scenario hash → running simulation
 
-	hits, misses, errors atomic.Int64
+	// misses counts requests that missed the cache on arrival, coalesced
+	// followers included; simulations counts the flight leaders that
+	// actually ran one.
+	hits, misses, errors, simulations atomic.Int64
 }
 
 // flight is one running simulation identical requests wait on.
@@ -115,6 +118,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 type statsResponse struct {
 	Hits         int64 `json:"hits"`
 	Misses       int64 `json:"misses"`
+	Simulations  int64 `json:"simulations"`
 	Errors       int64 `json:"errors"`
 	CacheEntries int   `json:"cache_entries"`
 	Workers      int   `json:"workers"`
@@ -124,6 +128,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, statsResponse{
 		Hits:         s.hits.Load(),
 		Misses:       s.misses.Load(),
+		Simulations:  s.simulations.Load(),
 		Errors:       s.errors.Load(),
 		CacheEntries: s.cache.Len(),
 		Workers:      s.cfg.Workers,
@@ -217,10 +222,18 @@ func swfHint(allowed bool) string {
 
 // execute runs the scenario on a worker slot, coalescing identical
 // in-flight requests onto one simulation: the first request simulates,
-// the rest wait on its flight and share the answer.
+// the rest wait on its flight and share the answer. The cache is checked
+// again under s.mu: a leader stores its answer before it retires its
+// flight, so a request that missed the cache just before that store finds
+// either the flight or the answer, never neither.
 func (s *server) execute(r *http.Request, sc *scenario.Scenario) (whatifResponse, error) {
 	key := sc.Hash()
 	s.mu.Lock()
+	if resp, ok := s.cache.Get(key); ok {
+		s.mu.Unlock()
+		resp.Cached = true
+		return resp, nil
+	}
 	if f, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
 		select {
@@ -242,6 +255,7 @@ func (s *server) execute(r *http.Request, sc *scenario.Scenario) (whatifResponse
 	}()
 
 	s.sem <- struct{}{} // acquire a worker slot
+	s.simulations.Add(1)
 	out, err := sc.Execute()
 	<-s.sem
 	if err != nil {

@@ -139,7 +139,13 @@
 //     bulk loads — lives in a directory of sorted bounded chunks
 //     (internal/sched/relindex.go) instead of one flat slice, so each
 //     start, completion and gear switch costs a binary search plus a
-//     single-chunk memmove rather than an O(running) shift. The slice
+//     single-chunk memmove rather than an O(running) shift. Every
+//     variant, classic EASY and FCFS included, keeps it; it is
+//     bulk-loaded from the run list by its first consumer, so a replay
+//     that never queues never builds it, and classic EASY no longer
+//     re-sorts the running jobs on each blocked pass (the Million model
+//     cut to 67k jobs under the paper's policy went from ~15k to ~480k
+//     jobs/s, BENCH_sched.json). The slice
 //     path survives behind Compat.SliceReleases as the differential
 //     reference (sorted-slice oracle suite, FuzzReleaseIndex, pinned
 //     shadow edge cases), and a release-schedule inconsistency now

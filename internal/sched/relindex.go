@@ -6,11 +6,13 @@ import (
 	"repro/internal/profile"
 )
 
-// The chunked ordered release index replaces the flat (PlannedEnd, id)-
-// sorted release slice on the replanning hot path. The flat slice costs an
-// O(running) memmove per insert and remove — after PR 5 made the
-// availability profile persistent, those memmoves were the dominant term
-// of conservative/flexible passes. The index keeps the same total order
+// The chunked ordered release index is the (PlannedEnd, id)-sorted release
+// schedule of every variant: it feeds the classic-EASY shadow sweep and the
+// replanning profile's bulk loads. The flat slice it replaced cost an
+// O(running) memmove per insert and remove — the dominant term of
+// conservative/flexible passes once the availability profile became
+// persistent — and classic EASY re-sorted it from the run list on nearly
+// every blocked pass. The index keeps the same total order
 // over small sorted chunks: an insert or remove binary-searches the chunk
 // directory, then moves at most one chunk's worth of entries, so the cost
 // is O(log n + C) for chunk capacity C instead of O(n). In-order
@@ -21,8 +23,8 @@ import (
 // differentially-tested reference, mirroring Compat.RebuildProfile.
 const (
 	// relChunkMax is the split threshold: a chunk reaching this many
-	// entries is halved. 256 releases (16 bytes each) keep a chunk within
-	// a few cache lines' worth of memmove per mutation.
+	// entries is halved. 256 releases (24 bytes each, 6 KiB) bound the
+	// memmove of one mutation to a single chunk.
 	relChunkMax = 256
 	// relChunkMin is the merge threshold: a chunk draining below it is
 	// folded into a neighbor when the pair fits comfortably, bounding the

@@ -7,7 +7,9 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/dvfs"
 	"repro/internal/profile"
+	"repro/internal/workload"
 )
 
 // checkRelIndexInvariants verifies the index's structural contract: every
@@ -228,4 +230,113 @@ func TestReleaseIndexClampGroups(t *testing.T) {
 			t.Errorf("snapshot not sorted at %d: %v < %v", i, rel.Time, snap[i-1].Time)
 		}
 	}
+}
+
+// relIndexAudit wraps boostingPolicy and, after every pass once the
+// release index is materialized, checks it against the run list: the
+// guard that classic EASY keeps its schedule incrementally instead of
+// re-sorting the running jobs on blocked passes.
+type relIndexAudit struct {
+	boostingPolicy
+	t               *testing.T
+	checked, boosts int
+}
+
+func (p *relIndexAudit) ControlPass(sys *System, now float64) {
+	if sys.QueueLen() > 2 {
+		for _, rs := range sys.Running() {
+			if rs.Gear != p.gears.Top() {
+				p.boosts++
+			}
+		}
+	}
+	p.boostingPolicy.ControlPass(sys, now)
+	if !sys.relLive {
+		if p.checked > 0 {
+			p.t.Fatalf("t=%v: materialized index went stale", now)
+		}
+		return
+	}
+	p.checked++
+	if sys.relLoads != 1 {
+		p.t.Fatalf("t=%v: %d bulk loads, want exactly 1", now, sys.relLoads)
+	}
+	if sys.relCache != nil {
+		p.t.Fatalf("t=%v: bulk-load scratch retained (%d entries)", now, len(sys.relCache))
+	}
+	if err := checkRelIndexInvariants(&sys.relIdx); err != nil {
+		p.t.Fatalf("t=%v: %v", now, err)
+	}
+	var want []release
+	for _, rs := range sys.Running() {
+		want = append(want, release{t: rs.PlannedEnd, cpus: rs.Job.Procs, id: rs.Job.ID})
+	}
+	sort.Slice(want, func(i, j int) bool {
+		return want[i].t < want[j].t || (want[i].t == want[j].t && want[i].id < want[j].id)
+	})
+	var got []release
+	sys.relIdx.each(func(r release) bool { got = append(got, r); return true })
+	if len(got) != len(want) {
+		p.t.Fatalf("t=%v: index holds %d releases, run list %d", now, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			p.t.Fatalf("t=%v: index[%d] = %+v, run list %+v", now, i, got[i], want[i])
+		}
+	}
+}
+
+// TestEASYReleaseIndexLazyAndCurrent pins classic EASY's release
+// schedule: a replay that never blocks never materializes the index,
+// and a saturated one loads it once on the first blocked pass and from
+// then on keeps it equal to the run list's sorted releases through
+// starts, completions and gear switches.
+func TestEASYReleaseIndexLazyAndCurrent(t *testing.T) {
+	t.Run("never-blocked", func(t *testing.T) {
+		tr := &workload.Trace{Name: "idle", CPUs: 16}
+		for i := 0; i < 200; i++ {
+			tr.Jobs = append(tr.Jobs, &workload.Job{
+				ID: i + 1, Submit: float64(10 * i), Runtime: 5, ReqTime: 8, Procs: 1 + i%16, Beta: -1,
+			})
+		}
+		sys := paperSystem(t, 16, EASY, topPolicy(), nil)
+		if err := sys.Simulate(tr); err != nil {
+			t.Fatal(err)
+		}
+		if sys.relLive || sys.relLoads != 0 || sys.relIdx.len() != 0 || len(sys.relIdx.chunks) != 0 {
+			t.Fatalf("never-queued replay materialized the index: live %v, %d loads, %d releases",
+				sys.relLive, sys.relLoads, sys.relIdx.len())
+		}
+	})
+	t.Run("saturated-boosting", func(t *testing.T) {
+		// ~800 jobs run at once on 2048 CPUs, enough for the index to
+		// split and merge chunks; offered load exceeds the machine, so
+		// the queue builds and the boost re-gears running jobs.
+		const cpus = 2048
+		r := rand.New(rand.NewSource(5))
+		tr := &workload.Trace{Name: "saturated", CPUs: cpus}
+		at := 0.0
+		for i := 0; i < 2500; i++ {
+			at += r.Float64() * 0.25
+			rt := 1 + r.Float64()*300
+			tr.Jobs = append(tr.Jobs, &workload.Job{
+				ID: i + 1, Submit: at, Runtime: rt, ReqTime: rt * (1 + r.Float64()), Procs: 1 + r.Intn(4), Beta: -1,
+			})
+		}
+		gears := dvfs.PaperGearSet()
+		pol := &relIndexAudit{boostingPolicy: boostingPolicy{gears: gears}, t: t}
+		sys := paperSystem(t, cpus, EASY, pol, nil)
+		if !sys.relIndexed {
+			t.Fatal("classic EASY is not index-backed")
+		}
+		if err := sys.Simulate(tr); err != nil {
+			t.Fatal(err)
+		}
+		if pol.checked == 0 || pol.boosts == 0 {
+			t.Fatalf("fixture too light: %d audited passes, %d boosts", pol.checked, pol.boosts)
+		}
+		if sys.relIdx.len() != 0 {
+			t.Errorf("drained replay left %d releases indexed", sys.relIdx.len())
+		}
+	})
 }

@@ -18,10 +18,11 @@ type release struct {
 	id   int
 }
 
-// collectReleases rebuilds the sorted release slice from the live run
-// list into the shared scratch cache and returns it.
+// collectReleases returns the live run list's planned releases sorted by
+// (raw planned end, job ID) in a fresh slice: the one-time bulk load that
+// materializes the release schedule.
 func (s *System) collectReleases() []release {
-	rels := s.relCache[:0]
+	rels := make([]release, 0, s.runningCount())
 	for _, rs := range s.runList {
 		if rs == nil {
 			continue // tombstoned completion
@@ -41,19 +42,15 @@ func (s *System) collectReleases() []release {
 		}
 		return 0
 	})
-	s.relCache = rels
+	s.relLive = true
+	s.relLoads++
 	return rels
 }
 
-// sortedReleases returns the live run list's planned releases sorted by
-// (raw planned end, job ID) as a flat slice. Under the slice-backed
-// replanning variants (Compat.SliceReleases) the cache is maintained
-// incrementally and is always current; under classic EASY it is rebuilt
-// here only when a start, completion or gear change invalidated it — a
-// blocked pass (an arrival that starts nothing) reuses the previous sort
-// outright, which is what keeps saturated replays from rebuilding+sorting
-// O(running jobs) state on every event. Index-backed systems consume
-// releaseIndex instead.
+// sortedReleases returns the release schedule of a Compat.SliceReleases
+// system as a flat slice sorted by (raw planned end, job ID),
+// materializing it from the run list on first use; index-backed systems
+// consume releaseIndex instead.
 //
 // Times are stored unclamped; consumers clamp entries at or before `now`
 // to strictly-after-now on the fly. Clamping maps a prefix of the sorted
@@ -61,22 +58,18 @@ func (s *System) collectReleases() []release {
 // releases as a single group, so the result is identical to the seed-era
 // clamp-then-sort order.
 func (s *System) sortedReleases() []release {
-	if !s.relDirty {
-		return s.relCache
+	if !s.relLive {
+		s.relCache = s.collectReleases()
 	}
-	rels := s.collectReleases()
-	s.relDirty = false
-	return rels
+	return s.relCache
 }
 
-// releaseIndex returns the chunked ordered release index, rebuilding it
-// from the run list when a consumer arrives before incremental
-// maintenance began (New starts dirty so run lists assembled outside
-// start(), as white-box tests do, are picked up).
+// releaseIndex returns the chunked ordered release index, bulk-loading it
+// from the run list on first use. The load copies the sorted scratch into
+// chunks, so the scratch is dropped with the call.
 func (s *System) releaseIndex() *relIndex {
-	if s.relDirty {
+	if !s.relLive {
 		s.relIdx.load(s.collectReleases())
-		s.relDirty = false
 	}
 	return &s.relIdx
 }
@@ -115,20 +108,16 @@ func (s *System) appendClampedReleases(buf []profile.Release, now float64) []pro
 	return buf
 }
 
-// relAdd registers a newly started (or re-geared) job's planned release:
-// an ordered insert when the schedule is incrementally maintained, a
-// dirty mark otherwise. A dirty index defers to the next consumer's
-// rebuild from the run list, which will already include this job.
+// relAdd registers a newly started (or re-geared) job's planned release
+// with an ordered insert. Before the schedule is materialized it is a
+// no-op: the first consumer's bulk load reads the job from the run list.
 func (s *System) relAdd(rs *RunState) {
-	if !s.relIncremental {
-		s.relDirty = true
+	if !s.relLive {
 		return
 	}
 	r := release{t: rs.PlannedEnd, cpus: rs.Job.Procs, id: rs.Job.ID}
 	if s.relIndexed {
-		if !s.relDirty {
-			s.relIdx.insert(r)
-		}
+		s.relIdx.insert(r)
 		return
 	}
 	i := sort.Search(len(s.relCache), func(k int) bool {
@@ -141,18 +130,18 @@ func (s *System) relAdd(rs *RunState) {
 }
 
 // relRemove drops a finished (or about-to-be-re-geared) job's planned
-// release. rs.PlannedEnd must still hold the value relAdd registered; a
+// release, a no-op before the schedule is materialized. rs.PlannedEnd
+// must still hold the value relAdd (or the bulk load) registered; a
 // release the schedule no longer knows is a scheduler invariant violation
 // reported as an error, which callers surface through Simulate's error
 // path via fail.
 func (s *System) relRemove(rs *RunState) error {
-	if !s.relIncremental {
-		s.relDirty = true
+	if !s.relLive {
 		return nil
 	}
 	t, id := rs.PlannedEnd, rs.Job.ID
 	if s.relIndexed {
-		if !s.relDirty && !s.relIdx.remove(t, id) {
+		if !s.relIdx.remove(t, id) {
 			return lostReleaseError(id, t)
 		}
 		return nil
@@ -195,7 +184,9 @@ func clampRelease(t, now float64) float64 {
 //
 // Because only running jobs hold processors (EASY keeps a single
 // reservation), availability is non-decreasing in time and the sweep over
-// planned completions is exact.
+// planned completions is exact. The sweep walks the chunked release index;
+// Compat.SliceReleases sweeps the flat reference slice instead and the
+// seed-era path re-sorts the run list per call (shadowSeed).
 func (s *System) shadow(head *workload.Job, now float64) (float64, int) {
 	avail := s.cl.FreeCount()
 	if s.cfg.Compat.ScratchAlloc {

@@ -116,10 +116,10 @@ type Compat struct {
 	// older per-entry rebuild).
 	RebuildProfile bool
 	// SliceReleases maintains the (PlannedEnd, id)-sorted release
-	// schedule of the replanning variants as a flat slice with O(running)
-	// memmove insert/remove (the PR 3–5 path) instead of the chunked
-	// ordered release index. Kept as the differentially-tested reference
-	// and to quantify the index win on its own.
+	// schedule as a flat slice with O(running) memmove insert/remove
+	// instead of the chunked ordered release index. Kept as the
+	// differentially-tested reference and to quantify the index win on
+	// its own.
 	SliceReleases bool
 	// FlatReservations keeps the persistent profile's reservation layer
 	// in the flat tier pair (merged slice plus lazily re-sorted pending
@@ -200,21 +200,22 @@ type System struct {
 	invErr     error   // first scheduler invariant violation; aborts the run
 
 	// The release schedule holds the live jobs' planned releases sorted
-	// by (PlannedEnd, job ID). Under the profile-replanning variants
-	// (conservative, flexible EASY) it is maintained incrementally per
-	// start/completion/gear change, because every pass consumes it: the
-	// chunked ordered index relIdx by default (O(log n + chunk) per
-	// mutation), the flat relCache slice with memmove insert/remove under
-	// Compat.SliceReleases (the differential reference). Under classic
-	// EASY the flat slice is rebuilt lazily (relDirty) only when a
-	// blocked pass actually needs the shadow sweep, since most events
-	// mutate the run list without ever consuming the schedule; relCache
-	// doubles as the sort scratch for index bulk loads.
-	relCache       []release
-	relIdx         relIndex
-	relDirty       bool
-	relIncremental bool
-	relIndexed     bool
+	// by (PlannedEnd, job ID), the input of the EASY shadow sweep and of
+	// the replanning profile's bulk loads: the chunked ordered index
+	// relIdx by default (O(log n + chunk) per mutation), the flat relCache
+	// slice with memmove insert/remove under Compat.SliceReleases (the
+	// differential reference). It is materialized lazily: a fresh system
+	// maintains nothing until its first consumer (a blocked EASY pass, a
+	// replanning pass) bulk-loads it from the run list, so a replay that
+	// never queues pays nothing and run lists assembled outside start()
+	// (as white-box tests do) are picked up. From then on (relLive) every
+	// start, completion and gear change updates it in place. relLoads
+	// counts bulk loads, at most one per system.
+	relCache   []release
+	relIdx     relIndex
+	relLive    bool
+	relIndexed bool
+	relLoads   int
 
 	// prof and profRels are per-system scratch reused across replanning
 	// passes: the availability profile and the clamped release schedule
@@ -272,13 +273,8 @@ func New(cfg Config) (*System, error) {
 		cfg:    cfg,
 		engine: sim.NewEngine(),
 		cl:     cl,
-		// Starts dirty so a first consumer rebuilds from the run list even
-		// when it was assembled outside start() (as white-box tests do).
-		relDirty: true,
 	}
-	s.relIncremental = !cfg.Compat.ScratchAlloc &&
-		(cfg.Variant == Conservative || (cfg.Variant == EASY && cfg.Reservations > 1))
-	s.relIndexed = s.relIncremental && !cfg.Compat.SliceReleases
+	s.relIndexed = !cfg.Compat.ScratchAlloc && !cfg.Compat.SliceReleases
 	_, s.profWiden = cfg.Policy.(EstMonotonePolicy)
 	s.engine.NoPool = cfg.Compat.ScratchAlloc
 	// A gear policy that is also a controller serves both seams: the
