@@ -19,21 +19,26 @@
 // back into the streaming path shows up as a ~5x jump, far beyond the
 // regression allowance.
 //
-// Gate 3 — replanning: the conservative-backfilling Million-preset
-// seed-vs-optimized speedup ratio (BenchmarkConservativeMillionPreset).
-// Conservative replans every queued job against the availability profile
-// each pass, so this ratio holds the incremental-replanning win — the
-// persistent profile, the changed-prefix reservation reuse and the
-// skyline-tree EarliestStart — the same way gate 1 holds the hot-path
-// win: as a same-host ratio that cancels runner hardware out.
+// Gates 3, 4 and 6 read one BenchmarkConservativePolicyMillion
+// invocation: the Million model cut to 67k jobs under conservative
+// backfilling and the paper's policy, where ~2% of passes end with jobs
+// waiting. That regime is where replanning structures work: a replay
+// that never queues (the FULL Million preset, the 10k/40k cuts) starts
+// every job without the availability profile or the release schedule, so
+// it cannot tell their implementations apart.
 //
-// Gate 4 — release index: the conservative FULL-Million-preset
-// memmove-vs-optimized speedup ratio (BenchmarkConservativeFullMillion).
-// The baseline mode here is Compat.SliceReleases — the PR 5 flat release
-// cache whose O(running) memmove insert/remove dominated replanning
-// passes once the profile persisted — because the seed path is infeasible
-// at one million jobs (close to an hour per run). The ratio holds the
-// chunked ordered release index's win at system scale.
+// Gate 3 — replanning: the optimized/rebuild speedup ratio. The baseline
+// mode is Compat.RebuildProfile, which bulk-loads the availability
+// profile from the release schedule on every replanning pass, so the
+// ratio holds the incremental-replanning win — the persistent profile and
+// the changed-prefix reservation reuse — the same way gate 1 holds the
+// hot-path win: as a same-host ratio that cancels runner hardware out.
+//
+// Gate 4 — release index: the optimized/memmove speedup ratio. The
+// baseline mode is Compat.SliceReleases — the flat release cache whose
+// O(running) memmove insert/remove dominated replanning passes once the
+// profile persisted — so the ratio holds the chunked ordered release
+// index's win.
 //
 // Gate 5 — controller overhead: the EASY Million-preset capped-vs-off
 // throughput ratio (BenchmarkControllerMillion). The capped mode runs the
@@ -44,19 +49,21 @@
 // controller hot path (O(1) metering, the control law, the gear-ceiling
 // walk) grew beyond its allowance.
 //
-// Gate 6 — reservation tier: the conservative FULL-Million-preset
-// flatresv-vs-optimized speedup ratio, from the same
-// BenchmarkConservativeFullMillion invocation gate 4 reads. The baseline
-// mode is Compat.FlatReservations — the PR 6-8 flat profile tiers
+// Gate 6 — reservation tier: the optimized/flatresv speedup ratio. The
+// baseline mode is Compat.FlatReservations — the flat profile tiers
 // (pending buffer + skyline tree + flat reservation slices) — so the
 // ratio isolates exactly what the chunked skyline and reservation
 // indexes bought, independently of the release-index win gate 4 holds.
+//
+// Baselines come from the rows of the newest BENCH_sched.json entry that
+// carries both modes. Rows marked "commit": "parent" record the parent
+// commit's numbers for comparison and are never a baseline.
 //
 // Every gate disables via an empty benchmark name.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'HotPathSeedVsOptimized|StreamingMillionHeap|ConservativeMillionPreset|ConservativeFullMillion|ControllerMillion' -benchtime 1x . | tee bench.out
+//	go test -run '^$' -bench 'HotPathSeedVsOptimized|StreamingMillionHeap|ConservativePolicyMillion|ControllerMillion' -benchtime 1x . | tee bench.out
 //	go run ./cmd/benchgate -bench bench.out
 package main
 
@@ -79,6 +86,7 @@ type benchFile struct {
 		Results   []struct {
 			Jobs       int     `json:"jobs"`
 			Mode       string  `json:"mode"`
+			Commit     string  `json:"commit"`
 			JobsPerS   float64 `json:"jobs_per_s"`
 			PeakHeapMB float64 `json:"peak_heap_mb"`
 		} `json:"results"`
@@ -123,17 +131,17 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.Float64Var(&cfg.maxRegress, "max-regress", 0.20, "maximum allowed fractional drop of the optimized/seed speedup")
 	fs.StringVar(&cfg.heapBench, "heap-benchmark", "BenchmarkStreamingMillionHeap", "streaming peak-heap benchmark to gate on (empty disables the heap gate)")
 	fs.Float64Var(&cfg.heapGrowth, "heap-max-growth", 0.20, "maximum allowed fractional growth of the streamed peak heap")
-	fs.StringVar(&cfg.consBench, "cons-benchmark", "BenchmarkConservativeMillionPreset", "replanning benchmark to gate on (empty disables the replanning gate)")
-	fs.IntVar(&cfg.consJobs, "cons-jobs", 40_000, "Million-preset job count of the gated replanning sub-runs")
-	fs.Float64Var(&cfg.consRegress, "cons-max-regress", 0.20, "maximum allowed fractional drop of the replanning optimized/seed speedup")
-	fs.StringVar(&cfg.idxBench, "relindex-benchmark", "BenchmarkConservativeFullMillion", "release-index benchmark to gate on (empty disables the release-index gate)")
-	fs.IntVar(&cfg.idxJobs, "relindex-jobs", 1_000_000, "job count of the gated full-preset replanning sub-runs")
+	fs.StringVar(&cfg.consBench, "cons-benchmark", "BenchmarkConservativePolicyMillion", "replanning benchmark to gate on (empty disables the replanning gate)")
+	fs.IntVar(&cfg.consJobs, "cons-jobs", 67_000, "job count of the gated replanning sub-runs")
+	fs.Float64Var(&cfg.consRegress, "cons-max-regress", 0.20, "maximum allowed fractional drop of the replanning optimized/rebuild speedup")
+	fs.StringVar(&cfg.idxBench, "relindex-benchmark", "BenchmarkConservativePolicyMillion", "release-index benchmark to gate on (empty disables the release-index gate)")
+	fs.IntVar(&cfg.idxJobs, "relindex-jobs", 67_000, "job count of the gated release-index sub-runs")
 	fs.Float64Var(&cfg.idxRegress, "relindex-max-regress", 0.20, "maximum allowed fractional drop of the optimized/memmove speedup")
 	fs.StringVar(&cfg.ctrlBench, "ctrl-benchmark", "BenchmarkControllerMillion", "controller-overhead benchmark to gate on (empty disables the controller gate)")
 	fs.IntVar(&cfg.ctrlJobs, "ctrl-jobs", 1_000_000, "Million-preset job count of the gated controller sub-runs")
 	fs.Float64Var(&cfg.ctrlRegress, "ctrl-max-regress", 0.20, "maximum allowed fractional drop of the capped/off throughput ratio")
-	fs.StringVar(&cfg.resvBench, "resv-benchmark", "BenchmarkConservativeFullMillion", "reservation-tier benchmark to gate on (empty disables the reservation-tier gate)")
-	fs.IntVar(&cfg.resvJobs, "resv-jobs", 1_000_000, "job count of the gated reservation-tier sub-runs")
+	fs.StringVar(&cfg.resvBench, "resv-benchmark", "BenchmarkConservativePolicyMillion", "reservation-tier benchmark to gate on (empty disables the reservation-tier gate)")
+	fs.IntVar(&cfg.resvJobs, "resv-jobs", 67_000, "job count of the gated reservation-tier sub-runs")
 	fs.Float64Var(&cfg.resvRegress, "resv-max-regress", 0.20, "maximum allowed fractional drop of the optimized/flatresv speedup")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
@@ -181,7 +189,7 @@ func run(cfg config, out io.Writer) error {
 	}
 
 	if cfg.consBench != "" {
-		if err := gateRatio(out, "replanning", cfg.benchPath, cfg.basePath, cfg.consBench, cfg.consJobs, cfg.consRegress, "seed", "optimized"); err != nil {
+		if err := gateRatio(out, "replanning", cfg.benchPath, cfg.basePath, cfg.consBench, cfg.consJobs, cfg.consRegress, "rebuild", "optimized"); err != nil {
 			return err
 		}
 	}
@@ -239,7 +247,7 @@ func gateRatio(out io.Writer, label, benchPath, basePath, benchmark string, jobs
 
 // baselineRatio returns optMode/baseMode jobs/s from the newest
 // BENCH_sched.json entry of the benchmark carrying both rows at the
-// given job count.
+// given job count, parent-commit rows excluded.
 func baselineRatio(path, benchmark string, jobs int, baseMode, optMode string) (float64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -255,7 +263,7 @@ func baselineRatio(path, benchmark string, jobs int, baseMode, optMode string) (
 		}
 		var ref, opt float64
 		for _, r := range bf.Entries[i].Results {
-			if r.Jobs != jobs {
+			if r.Jobs != jobs || r.Commit == "parent" {
 				continue
 			}
 			switch r.Mode {
@@ -273,7 +281,8 @@ func baselineRatio(path, benchmark string, jobs int, baseMode, optMode string) (
 }
 
 // baselineHeapMB returns the peak_heap_mb of the newest BENCH_sched.json
-// entry of the benchmark carrying a row at the given job count and mode.
+// entry of the benchmark carrying a non-parent row at the given job count
+// and mode.
 func baselineHeapMB(path, benchmark string, jobs int, mode string) (float64, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -288,7 +297,7 @@ func baselineHeapMB(path, benchmark string, jobs int, mode string) (float64, err
 			continue
 		}
 		for _, r := range bf.Entries[i].Results {
-			if r.Jobs == jobs && r.Mode == mode && r.PeakHeapMB > 0 {
+			if r.Jobs == jobs && r.Mode == mode && r.Commit != "parent" && r.PeakHeapMB > 0 {
 				return r.PeakHeapMB, nil
 			}
 		}

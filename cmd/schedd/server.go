@@ -225,7 +225,9 @@ func swfHint(allowed bool) string {
 // the rest wait on its flight and share the answer. The cache is checked
 // again under s.mu: a leader stores its answer before it retires its
 // flight, so a request that missed the cache just before that store finds
-// either the flight or the answer, never neither.
+// either the flight or the answer, never neither. A failed flight — an
+// error or a panic in the simulation — hands its error to every follower
+// and is never cached, so the next identical request simulates again.
 func (s *server) execute(r *http.Request, sc *scenario.Scenario) (whatifResponse, error) {
 	key := sc.Hash()
 	s.mu.Lock()
@@ -254,10 +256,7 @@ func (s *server) execute(r *http.Request, sc *scenario.Scenario) (whatifResponse
 		close(f.done)
 	}()
 
-	s.sem <- struct{}{} // acquire a worker slot
-	s.simulations.Add(1)
-	out, err := sc.Execute()
-	<-s.sem
+	out, err := s.simulate(sc)
 	if err != nil {
 		f.err = err
 		return whatifResponse{}, err
@@ -279,6 +278,22 @@ func (s *server) execute(r *http.Request, sc *scenario.Scenario) (whatifResponse
 	}
 	s.cache.Put(key, f.resp)
 	return f.resp, nil
+}
+
+// simulate runs one simulation on a worker slot. The slot is released
+// even if the simulation panics (an in-process gear policy or controller
+// may), and the panic is returned as an error: a slot held forever would
+// block every later cache miss once all workers leaked.
+func (s *server) simulate(sc *scenario.Scenario) (out scenario.Outcome, err error) {
+	s.sem <- struct{}{} // acquire a worker slot
+	defer func() { <-s.sem }()
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("simulation panicked: %v", p)
+		}
+	}()
+	s.simulations.Add(1)
+	return sc.Execute()
 }
 
 func msSince(t time.Time) float64 {

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dvfs"
 	"repro/internal/scenario"
+	"repro/internal/workload"
 )
 
 // tinySpec is a CTC what-if small enough for unit tests.
@@ -356,5 +359,100 @@ func TestCacheLRUEviction(t *testing.T) {
 	off.Put("a", whatifResponse{Hash: "a"})
 	if _, ok := off.Get("a"); ok || off.Len() != 0 {
 		t.Fatal("cap 0 cache stored an entry")
+	}
+}
+
+// panicPolicy stands in for a faulty in-process gear policy: its first
+// gear decision waits for gate to close, then panics.
+type panicPolicy struct {
+	gate chan struct{}
+}
+
+func (p panicPolicy) Name() string { return "panics" }
+
+func (p panicPolicy) ReserveGear(*workload.Job, float64, float64, int) dvfs.Gear {
+	<-p.gate
+	panic("injected policy fault")
+}
+
+func (p panicPolicy) BackfillGear(*workload.Job, float64, int, func(dvfs.Gear) bool) (dvfs.Gear, bool) {
+	<-p.gate
+	panic("injected policy fault")
+}
+
+// TestExecuteSurvivesSimulationPanic injects a panic into the only worker
+// slot's simulation: the leader and any identical request get an error
+// (not a zero answer), the failed flight is not cached, and the slot is
+// released, so the next cache miss runs instead of hanging.
+func TestExecuteSurvivesSimulationPanic(t *testing.T) {
+	s := newServer(serverConfig{Workers: 1, CacheSize: 8})
+	gate := make(chan struct{})
+	bad, err := s.comp.Compile(scenario.Spec{Workload: "CTC", Jobs: 300, GearPolicy: panicPolicy{gate: gate}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := httptest.NewRequest(http.MethodPost, "/v1/whatif", nil)
+	leader := make(chan error, 1)
+	go func() {
+		_, err := s.execute(r, bad)
+		leader <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		s.mu.Lock()
+		_, flying := s.inflight[bad.Hash()]
+		s.mu.Unlock()
+		if flying {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("leader never registered its flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The identical request either joins the flight or, arriving after
+	// it failed, leads a fresh one that fails the same way.
+	follower := make(chan error, 1)
+	go func() {
+		_, err := s.execute(r, bad)
+		follower <- err
+	}()
+	close(gate)
+	for name, ch := range map[string]chan error{"leader": leader, "follower": follower} {
+		select {
+		case err := <-ch:
+			if err == nil || !strings.Contains(err.Error(), "injected policy fault") {
+				t.Errorf("%s got error %v, want the injected panic", name, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s never returned", name)
+		}
+	}
+	if _, ok := s.cache.Get(bad.Hash()); ok {
+		t.Error("failed flight was cached")
+	}
+
+	var spec scenario.Spec
+	if err := json.Unmarshal([]byte(tinySpec), &spec); err != nil {
+		t.Fatal(err)
+	}
+	good, err := s.comp.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := s.execute(r, good)
+		if err == nil && resp.Jobs != 300 {
+			err = fmt.Errorf("answer covers %d jobs, want 300", resp.Jobs)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("next miss after the panic: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("next miss hung: the panicking simulation kept the only worker slot")
 	}
 }

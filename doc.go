@@ -72,14 +72,14 @@
 // The scheduler hot path is built for multi-million-job workloads (the
 // wgen Million and TenMillion presets; BENCH_sched.json tracks the
 // trajectory and CI's cmd/benchgate fails the build when any of the
-// gated speedup ratios — EASY optimized/seed, conservative
-// optimized/seed, conservative full-preset optimized/memmove and
-// optimized/flatresv, the power-controller capped/off overhead — drops
+// gated speedup ratios — EASY optimized/seed; conservative under the
+// paper's policy, where jobs queue, optimized/rebuild, optimized/memmove
+// and optimized/flatresv; the power-controller capped/off overhead — drops
 // more than 20%, or the streamed replay's peak heap grows more than
 // 20%, against it). For digging into a regression, cmd/bsldsim takes
 // -cpuprofile/-memprofile and writes pprof profiles of a whole run
 // (bench_test.go's benchmarks equally accept go test's own -cpuprofile).
-// Eight properties keep the path fast and flat in memory:
+// Nine properties keep the path fast and flat in memory:
 //
 //   - Streaming workloads: workload.JobSource streams jobs one at a time
 //     end to end — wgen.Stream generates presets lazily from replayed
@@ -132,7 +132,15 @@
 //     changed suffix — no O(running) profile rebuild and no profile
 //     queries for the reused prefix; conservative backfilling on the
 //     Million preset runs 7.4x faster than the rebuild-per-pass path it
-//     replaces (BENCH_sched.json, 40k jobs).
+//     replaces (BENCH_sched.json, 40k jobs). The profile exists only for
+//     reservations, so it is loaded only when a queue head blocks: a pass
+//     that begins with no reservation held starts heads against the free
+//     processor count (exact, since occupancy then never rises after
+//     now), a live profile that falls due for a fresh epoch on such a
+//     pass is dropped rather than reloaded, and a replay that never
+//     queues builds neither the profile nor the release schedule (the
+//     FULL Million conservative replay, which never queues, went from
+//     184k to 463k jobs/s, BENCH_sched.json).
 //   - Chunked release index: the (PlannedEnd, id)-sorted release
 //     schedule — every running job's planned processor release, the
 //     input to both the EASY shadow sweep and the replanning profile's

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/dvfs"
@@ -20,14 +21,20 @@ func TestCompatModesProduceIdenticalSchedules(t *testing.T) {
 		variant Variant
 		order   Order
 		resv    int
+		// phases replays phasesTrace instead of randomTrace and audits
+		// that the default mode moved between passes without the profile
+		// and passes with it, loading and dropping it along the way.
+		phases bool
 	}
 	fixtures := []fixture{
-		{"easy", EASY, FCFSOrder, 0},
-		{"fcfs", FCFS, FCFSOrder, 0},
-		{"conservative", Conservative, FCFSOrder, 0},
-		{"easy-sjf", EASY, SJFOrder, 0},
-		{"flexible-4", EASY, FCFSOrder, 4},
-		{"conservative-sjf", Conservative, SJFOrder, 0},
+		{"easy", EASY, FCFSOrder, 0, false},
+		{"fcfs", FCFS, FCFSOrder, 0, false},
+		{"conservative", Conservative, FCFSOrder, 0, false},
+		{"easy-sjf", EASY, SJFOrder, 0, false},
+		{"flexible-4", EASY, FCFSOrder, 4, false},
+		{"conservative-sjf", Conservative, SJFOrder, 0, false},
+		{"conservative-phases", Conservative, FCFSOrder, 0, true},
+		{"flexible-4-phases", EASY, FCFSOrder, 4, true},
 	}
 	gears := dvfs.PaperGearSet()
 	policies := map[string]func() GearPolicy{
@@ -43,6 +50,7 @@ func TestCompatModesProduceIdenticalSchedules(t *testing.T) {
 	}
 	run := func(fx fixture, pol GearPolicy, compat Compat, seed int64) (map[int]float64, map[int]float64) {
 		rec := newAudit(t, 16)
+		obs := &phaseAudit{}
 		sys, err := New(Config{
 			CPUs:         16,
 			Gears:        gears,
@@ -51,14 +59,27 @@ func TestCompatModesProduceIdenticalSchedules(t *testing.T) {
 			Variant:      fx.variant,
 			Order:        fx.order,
 			Reservations: fx.resv,
-			Recorder:     rec,
+			Recorder:     MultiRecorder{rec, obs},
 			Compat:       compat,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Simulate(randomTrace(seed, 16, 250)); err != nil {
+		obs.sys = sys
+		tr := randomTrace(seed, 16, 250)
+		if fx.phases {
+			tr = phasesTrace(seed, 16)
+		}
+		if err := sys.Simulate(tr); err != nil {
 			t.Fatalf("%s: %v", fx.name, err)
+		}
+		if fx.phases && compat == (Compat{}) {
+			// The references only cover the profile's load and drop if
+			// the default mode really went through them.
+			if obs.idle == 0 || obs.blocked == 0 || obs.loads < 2 || obs.drops == 0 {
+				t.Fatalf("seed %d: phases fixture too weak: %d passes without the profile, %d blocked passes, %d loads, %d drops",
+					seed, obs.idle, obs.blocked, obs.loads, obs.drops)
+			}
 		}
 		return rec.starts, rec.ends
 	}
@@ -104,6 +125,81 @@ func TestCompatModesProduceIdenticalSchedules(t *testing.T) {
 			})
 		}
 	}
+}
+
+// phaseAudit counts, from pass-end samples, how a replanning replay moved
+// between its two pass kinds: passes that begin with no reservation held
+// (the queue drained at the previous pass end) run without the profile,
+// passes that end with jobs waiting used it. loads counts the passes that
+// brought the profile up from not live, drops those that dropped it.
+type phaseAudit struct {
+	sys                         *System
+	idle, blocked, loads, drops int
+	queued, live                bool
+}
+
+func (*phaseAudit) JobStarted(*RunState, float64)  {}
+func (*phaseAudit) JobFinished(*RunState, float64) {}
+
+func (a *phaseAudit) PassEnd(now float64, queued, busy int) {
+	if !a.queued {
+		a.idle++
+	}
+	if queued > 0 {
+		a.blocked++
+	}
+	switch {
+	case !a.live && a.sys.profLive:
+		a.loads++
+	case a.live && !a.sys.profLive:
+		a.drops++
+	}
+	a.queued, a.live = queued > 0, a.sys.profLive
+}
+
+// phasesTrace alternates drained phases — single small jobs spaced so
+// nothing ever waits, with pairs that end together at their kill limit —
+// and deep-queue bursts of wide jobs; each drained phase starts only once
+// the burst before it has fully run, even one job at a time at the
+// slowest gear, so every burst's queue drains before the next phase.
+func phasesTrace(seed int64, cpus int) *workload.Trace {
+	r := rand.New(rand.NewSource(seed))
+	tr := &workload.Trace{Name: "phases", CPUs: cpus}
+	add := func(at, rt, rq float64, procs int) {
+		tr.Jobs = append(tr.Jobs, &workload.Job{
+			ID: len(tr.Jobs) + 1, Submit: at, Runtime: rt, ReqTime: rq, Procs: procs, Beta: -1,
+		})
+	}
+	const slowest = 2 // bounds the paper gear set's dilation at β = 0.5
+	at := 0.0
+	for phase := 0; phase < 6; phase++ {
+		if phase%2 == 0 {
+			for i := 0; i < 40; i++ {
+				at += 40
+				if i%8 == 7 {
+					// Kill-limit-exact pair: the first completion's pass
+					// finds the other's planned release at now.
+					procs := 1 + r.Intn(4)
+					add(at, 10, 10, procs)
+					add(at, 10, 10, procs)
+					continue
+				}
+				rt := 1 + r.Float64()*9
+				add(at, rt, rt*(1+r.Float64()), 1+r.Intn(4))
+			}
+			at += 40
+			continue
+		}
+		span := 0.0
+		for i := 0; i < 40; i++ {
+			rt := 20 + r.Float64()*200
+			rq := rt * (1 + r.Float64())
+			add(at+float64(i), rt, rq, 1+r.Intn(cpus))
+			span += rq * slowest
+		}
+		at += span
+	}
+	return tr
 }
 
 // varyingPolicy is a deterministic gear policy whose decisions depend on

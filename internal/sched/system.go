@@ -205,12 +205,12 @@ type System struct {
 	// relIdx by default (O(log n + chunk) per mutation), the flat relCache
 	// slice with memmove insert/remove under Compat.SliceReleases (the
 	// differential reference). It is materialized lazily: a fresh system
-	// maintains nothing until its first consumer (a blocked EASY pass, a
-	// replanning pass) bulk-loads it from the run list, so a replay that
-	// never queues pays nothing and run lists assembled outside start()
-	// (as white-box tests do) are picked up. From then on (relLive) every
-	// start, completion and gear change updates it in place. relLoads
-	// counts bulk loads, at most one per system.
+	// maintains nothing until its first consumer (a blocked EASY pass, the
+	// replanning profile's first load) bulk-loads it from the run list, so
+	// a replay that never queues pays nothing and run lists assembled
+	// outside start() (as white-box tests do) are picked up. From then on
+	// (relLive) every start, completion and gear change updates it in
+	// place. relLoads counts bulk loads, at most one per system.
 	relCache   []release
 	relIdx     relIndex
 	relLive    bool
@@ -224,21 +224,23 @@ type System struct {
 	profRels []profile.Release
 
 	// Persistent-profile (incremental replanning) state. The default
-	// replanning path keeps prof alive across passes: the base skyline is
-	// mutated in O(1) per start/completion/gear switch, and reservations
-	// placed in earlier passes are reused verbatim up to the first queue
-	// position whose reservation could move (the changed-prefix
-	// analysis). resvMeta records, per retained reservation, the inputs
-	// that planned it; profClean is how many leading entries the next
-	// pass may consider reusing; profMut notes a base mutation since they
-	// were planned that invalidates the whole prefix. Under the widened
-	// analysis (profWiden — the gear policy implements EstMonotonePolicy)
-	// only mutations that free capacity set it (completion, gear switch):
-	// a job start's occupancy was feasibility-validated against the full
+	// replanning path loads prof when a queue head blocks and keeps it
+	// alive across passes (profLive) until a pass that holds no
+	// reservation drops it: the base skyline is mutated in O(1) per
+	// start/completion/gear switch, and reservations placed in earlier
+	// passes are reused verbatim up to the first queue position whose
+	// reservation could move (the changed-prefix analysis). resvMeta
+	// records, per retained reservation, the inputs that planned it;
+	// profClean is how many leading entries the next pass may consider
+	// reusing; profMut notes a base mutation since they were planned that
+	// invalidates the whole prefix. Under the widened analysis
+	// (profWiden — the gear policy implements EstMonotonePolicy) only
+	// mutations that free capacity set it (completion, gear switch): a
+	// job start's occupancy was feasibility-validated against the full
 	// tier including every retained reservation, so it can neither delay
 	// a retained window nor open an earlier one, and cleanPrefix instead
-	// re-asks the gear decision at both ends of the interval the
-	// top-gear estimate may have drifted across.
+	// re-asks the gear decision at both ends of the interval the top-gear
+	// estimate may have drifted across.
 	resvMeta  []resvInfo
 	profLive  bool
 	profMut   bool
@@ -601,35 +603,7 @@ func (s *System) pass(now float64) {
 		s.profilePass(now, s.cfg.Reservations)
 		return
 	}
-	if s.cfg.Compat.ScratchAlloc {
-		// Seed-era queue pop: re-slicing forward abandons the backing
-		// array's front, so nearly every subsequent arrival append
-		// reallocates (kept as the benchmark reference).
-		for len(s.queue) > 0 && s.queue[0].Procs <= s.cl.FreeCount() {
-			j := s.queue[0]
-			s.queue = s.queue[1:]
-			g := s.cfg.Policy.ReserveGear(j, now, now, len(s.queue))
-			s.start(j, g, now)
-		}
-	} else {
-		// Start queue heads in place, then shift the remainder to the
-		// front: the queue's capacity stays anchored at index 0, so
-		// arrival appends reuse it instead of allocating.
-		started := 0
-		for started < len(s.queue) && s.queue[started].Procs <= s.cl.FreeCount() {
-			j := s.queue[started]
-			started++
-			g := s.cfg.Policy.ReserveGear(j, now, now, len(s.queue)-started)
-			s.start(j, g, now)
-		}
-		if started > 0 {
-			n := copy(s.queue, s.queue[started:])
-			for i := n; i < len(s.queue); i++ {
-				s.queue[i] = nil
-			}
-			s.queue = s.queue[:n]
-		}
-	}
+	s.startHeads(now)
 	if len(s.queue) == 0 || s.cfg.Variant == FCFS {
 		s.controlPass(now)
 		return
@@ -675,6 +649,34 @@ func (s *System) pass(now float64) {
 	s.controlPass(now)
 }
 
+// startHeads starts queue heads in order while they fit the free
+// processors, each at the gear the policy reserves for an immediate
+// start, and drops them from the queue.
+func (s *System) startHeads(now float64) {
+	started := 0
+	for started < len(s.queue) && s.queue[started].Procs <= s.cl.FreeCount() {
+		j := s.queue[started]
+		started++
+		g := s.cfg.Policy.ReserveGear(j, now, now, len(s.queue)-started)
+		s.start(j, g, now)
+	}
+	if started == 0 {
+		return
+	}
+	if s.cfg.Compat.ScratchAlloc {
+		// Seed-era queue pop: re-slicing forward abandons the backing
+		// array's front, so nearly every subsequent arrival append
+		// reallocates (kept as the benchmark reference).
+		s.queue = s.queue[started:]
+		return
+	}
+	// Shift the remainder to the front: the queue's capacity stays
+	// anchored at index 0, so arrival appends reuse it instead of
+	// allocating.
+	n := copy(s.queue, s.queue[started:])
+	s.setQueue(s.queue[:n])
+}
+
 // setQueue installs the filtered queue. kept usually aliases the queue's
 // backing array, so the abandoned tail is cleared to keep started jobs
 // from lingering behind the slice length.
@@ -708,7 +710,9 @@ type resvInfo struct {
 // replan provably reproduces them is reused verbatim. A pass then costs
 // one gear-policy re-ask per retained reservation (the reuse proof) plus
 // full replanning of the changed suffix — the O(running) profile rebuild
-// and the per-prefix-position profile sweeps are gone.
+// and the per-prefix-position profile sweeps are gone. A pass that begins
+// with no reservation held starts heads without the profile, which is
+// loaded only when one blocks.
 // Compat.RebuildProfile selects the bulk-rebuild-per-pass reference,
 // Compat.ScratchAlloc the seed-era per-entry rebuild; all three produce
 // byte-identical schedules.
@@ -743,6 +747,20 @@ func (s *System) profilePass(now float64, maxRes int) {
 		s.prof.LoadReleases(s.cl.Total(), now, s.profRels)
 		prof = s.prof
 	default:
+		if len(s.resvMeta) == 0 {
+			// No job holds a reservation, so the base skyline is the
+			// running set alone and, with every release clamped strictly
+			// after now, occupancy never rises from now on: EarliestStart
+			// returns now exactly when a job fits the free processors,
+			// at any gear. Heads start without the profile, which is
+			// loaded only once one blocks.
+			s.idleProfile(now)
+			s.startHeads(now)
+			if len(s.queue) == 0 {
+				s.controlPass(now)
+				return
+			}
+		}
 		prof = s.persistentProfile(now)
 		resume = s.cleanPrefix(now, maxRes)
 		prof.TruncateReservations(resume)
@@ -818,18 +836,16 @@ func (s *System) profilePass(now float64, maxRes int) {
 }
 
 // persistentProfile returns the across-pass availability profile, opening
-// a fresh epoch when needed: on first use, when a cached release time has
-// reached `now` (a fresh build would clamp it differently — the rare
-// kill-limit-exact case), or when accumulated credit history outgrew the
-// running set. An epoch load is O(running); every other pass reuses the
-// profile as-is.
+// a fresh epoch when needed: when the profile is not live (first blocked
+// pass, or dropped by idleProfile since) or when epochDue. An epoch load
+// is O(running) and bulk-loads the release schedule first if no pass has
+// needed it yet; every other pass reuses the profile as-is.
 func (s *System) persistentProfile(now float64) *profile.Profile {
 	if s.prof == nil {
 		s.prof = profile.New(s.cl.Total())
 		s.prof.FlatReservations(s.cfg.Compat.FlatReservations)
 	}
-	minRel, hasRel := s.minRelease()
-	if !s.profLive || (hasRel && minRel <= now) || s.prof.BaseDeltas() > 4*s.releaseCount()+256 {
+	if !s.profLive || s.epochDue(now) {
 		s.profRels = s.appendClampedReleases(s.profRels[:0], now)
 		s.prof.StartEpoch(s.cl.Total(), now, s.profRels)
 		// Re-anchor the credit bookkeeping: completions must hand back
@@ -846,6 +862,31 @@ func (s *System) persistentProfile(now float64) *profile.Profile {
 	}
 	s.prof.BeginPass(now)
 	return s.prof
+}
+
+// epochDue reports whether the live profile needs a fresh epoch: a cached
+// release time has reached now (a fresh build would clamp it differently
+// — the rare kill-limit-exact case), or accumulated credit history
+// outgrew the running set.
+func (s *System) epochDue(now float64) bool {
+	minRel, hasRel := s.minRelease()
+	return (hasRel && minRel <= now) || s.prof.BaseDeltas() > 4*s.releaseCount()+256
+}
+
+// idleProfile keeps a live profile bounded through passes that run
+// without it: the horizon advances as on every profile pass, so deltas
+// pushed at the pass time fold, and where a fresh epoch is due the
+// profile is dropped instead of reloaded — the next blocked pass loads
+// it, so a replay that never queues never builds one.
+func (s *System) idleProfile(now float64) {
+	if !s.profLive {
+		return
+	}
+	if s.epochDue(now) {
+		s.profLive = false
+		return
+	}
+	s.prof.BeginPass(now)
 }
 
 // truncResvMeta drops the reservation metadata suffix, clearing the
