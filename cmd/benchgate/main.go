@@ -1,16 +1,23 @@
 // Command benchgate guards the scheduler hot path's throughput and the
 // streaming pipeline's memory footprint in CI: it parses `go test -bench`
-// output and compares two quantities against the last committed entries
+// output and compares four quantities against the last committed entries
 // of BENCH_sched.json, failing the build on a regression beyond the
 // allowed fraction.
 //
-// Gate 1 — throughput: the Million-preset seed-vs-optimized speedup
-// ratio. The gate is a ratio, not absolute jobs/s, on purpose: both modes
-// run in the same bench invocation on the same host, so dividing them
-// cancels runner hardware out — a slow CI machine scales both numbers
-// down together, while an accidental O(n²) hiding in the optimized pass
-// loop craters only the numerator. Absolute thresholds would instead
-// track whatever hardware CI happens to land on.
+// Gates 1 and 3 are calibrated throughput gates. Each divides a replay's
+// jobs/s by the jobs/s of the calibration kernel — a fixed, in-repo
+// heap workload (calibrationKernel in bench_test.go) that shares no code
+// with the simulator — run as the adjacent "calibration" sub-benchmark of
+// the same invocation on the same host. The ratio cancels runner
+// hardware out: a slow CI machine scales both rows down together, while
+// a regression in the simulator craters only the numerator. Absolute
+// thresholds would instead track whatever hardware CI happens to land on.
+//
+// Gate 1 — EASY hot path: the optimized/calibration ratio of
+// BenchmarkEASYMillion, one million Million-preset jobs under classic
+// EASY. It guards the event loop, the run list and the pass against an
+// O(running) step per event — a linear-scan run-list removal, an upfront
+// arrival heap, per-pass scratch allocation.
 //
 // Gate 2 — memory: the streamed Million replay's peak-heap-MB high-water
 // (BenchmarkStreamingMillionHeap). Unlike wall clock, the allocation
@@ -19,51 +26,36 @@
 // back into the streaming path shows up as a ~5x jump, far beyond the
 // regression allowance.
 //
-// Gates 3, 4 and 6 read one BenchmarkConservativePolicyMillion
-// invocation: the Million model cut to 67k jobs under conservative
-// backfilling and the paper's policy, where ~2% of passes end with jobs
-// waiting. That regime is where replanning structures work: a replay
-// that never queues (the FULL Million preset, the 10k/40k cuts) starts
-// every job without the availability profile or the release schedule, so
-// it cannot tell their implementations apart.
+// Gate 3 — replanning: the optimized/calibration ratio of
+// BenchmarkConservativePolicyMillion, the Million model cut to 67k jobs
+// under conservative backfilling and the paper's policy, where ~2% of
+// passes end with jobs waiting. That regime is where the replanning
+// structures work — the persistent availability profile with its
+// changed-prefix reservation reuse, the chunked release index and the
+// chunked profile tiers — so a per-pass profile rebuild, a memmove-backed
+// release schedule or flat reservation tiers each show up here. A replay
+// that never queues (the FULL Million preset) starts every job without
+// the profile or the release schedule and cannot tell them apart.
 //
-// Gate 3 — replanning: the optimized/rebuild speedup ratio. The baseline
-// mode is Compat.RebuildProfile, which bulk-loads the availability
-// profile from the release schedule on every replanning pass, so the
-// ratio holds the incremental-replanning win — the persistent profile and
-// the changed-prefix reservation reuse — the same way gate 1 holds the
-// hot-path win: as a same-host ratio that cancels runner hardware out.
-//
-// Gate 4 — release index: the optimized/memmove speedup ratio. The
-// baseline mode is Compat.SliceReleases — the flat release cache whose
-// O(running) memmove insert/remove dominated replanning passes once the
-// profile persisted — so the ratio holds the chunked ordered release
-// index's win.
-//
-// Gate 5 — controller overhead: the EASY Million-preset capped-vs-off
+// Gate 4 — controller overhead: the EASY Million-preset capped-vs-off
 // throughput ratio (BenchmarkControllerMillion). The capped mode runs the
 // PI power-cap controller at CapFrac=1, where it meters and decides every
 // pass but never actuates, so the schedule is byte-identical and the
 // ratio isolates the power-controller layer's observe/decide cost. Like
-// the other ratios it cancels runner hardware out; a drop means the
+// the calibrated ratios it cancels runner hardware out; a drop means the
 // controller hot path (O(1) metering, the control law, the gear-ceiling
 // walk) grew beyond its allowance.
 //
-// Gate 6 — reservation tier: the optimized/flatresv speedup ratio. The
-// baseline mode is Compat.FlatReservations — the flat profile tiers
-// (pending buffer + skyline tree + flat reservation slices) — so the
-// ratio isolates exactly what the chunked skyline and reservation
-// indexes bought, independently of the release-index win gate 4 holds.
-//
 // Baselines come from the rows of the newest BENCH_sched.json entry that
 // carries both modes. Rows marked "commit": "parent" record the parent
-// commit's numbers for comparison and are never a baseline.
+// commit's numbers for comparison and are never a baseline. A missing
+// row, in the bench output or in the baseline, is an error, never a pass.
 //
 // Every gate disables via an empty benchmark name.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'HotPathSeedVsOptimized|StreamingMillionHeap|ConservativePolicyMillion|ControllerMillion' -benchtime 1x . | tee bench.out
+//	go test -run '^$' -bench 'EASYMillion|StreamingMillionHeap|ConservativePolicyMillion|ControllerMillion' -benchtime 1x . | tee bench.out
 //	go run ./cmd/benchgate -bench bench.out
 package main
 
@@ -109,40 +101,26 @@ type config struct {
 	consJobs    int
 	consRegress float64
 
-	idxBench   string // gate 4
-	idxJobs    int
-	idxRegress float64
-
-	ctrlBench   string // gate 5
+	ctrlBench   string // gate 4
 	ctrlJobs    int
 	ctrlRegress float64
-
-	resvBench   string // gate 6
-	resvJobs    int
-	resvRegress float64
 }
 
 func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	var cfg config
 	fs.StringVar(&cfg.benchPath, "bench", "bench.out", "go test -bench output to scan")
 	fs.StringVar(&cfg.basePath, "baseline", "BENCH_sched.json", "committed performance trajectory")
-	fs.StringVar(&cfg.benchmark, "benchmark", "BenchmarkHotPathSeedVsOptimized", "throughput benchmark to gate on (empty disables the throughput gate)")
-	fs.IntVar(&cfg.jobs, "jobs", 1_000_000, "Million-preset job count of the gated sub-runs")
-	fs.Float64Var(&cfg.maxRegress, "max-regress", 0.20, "maximum allowed fractional drop of the optimized/seed speedup")
+	fs.StringVar(&cfg.benchmark, "benchmark", "BenchmarkEASYMillion", "EASY throughput benchmark to gate on (empty disables the EASY gate)")
+	fs.IntVar(&cfg.jobs, "jobs", 1_000_000, "Million-preset job count of the gated EASY and heap sub-runs")
+	fs.Float64Var(&cfg.maxRegress, "max-regress", 0.20, "maximum allowed fractional drop of the EASY optimized/calibration ratio")
 	fs.StringVar(&cfg.heapBench, "heap-benchmark", "BenchmarkStreamingMillionHeap", "streaming peak-heap benchmark to gate on (empty disables the heap gate)")
 	fs.Float64Var(&cfg.heapGrowth, "heap-max-growth", 0.20, "maximum allowed fractional growth of the streamed peak heap")
 	fs.StringVar(&cfg.consBench, "cons-benchmark", "BenchmarkConservativePolicyMillion", "replanning benchmark to gate on (empty disables the replanning gate)")
 	fs.IntVar(&cfg.consJobs, "cons-jobs", 67_000, "job count of the gated replanning sub-runs")
-	fs.Float64Var(&cfg.consRegress, "cons-max-regress", 0.20, "maximum allowed fractional drop of the replanning optimized/rebuild speedup")
-	fs.StringVar(&cfg.idxBench, "relindex-benchmark", "BenchmarkConservativePolicyMillion", "release-index benchmark to gate on (empty disables the release-index gate)")
-	fs.IntVar(&cfg.idxJobs, "relindex-jobs", 67_000, "job count of the gated release-index sub-runs")
-	fs.Float64Var(&cfg.idxRegress, "relindex-max-regress", 0.20, "maximum allowed fractional drop of the optimized/memmove speedup")
+	fs.Float64Var(&cfg.consRegress, "cons-max-regress", 0.20, "maximum allowed fractional drop of the replanning optimized/calibration ratio")
 	fs.StringVar(&cfg.ctrlBench, "ctrl-benchmark", "BenchmarkControllerMillion", "controller-overhead benchmark to gate on (empty disables the controller gate)")
 	fs.IntVar(&cfg.ctrlJobs, "ctrl-jobs", 1_000_000, "Million-preset job count of the gated controller sub-runs")
 	fs.Float64Var(&cfg.ctrlRegress, "ctrl-max-regress", 0.20, "maximum allowed fractional drop of the capped/off throughput ratio")
-	fs.StringVar(&cfg.resvBench, "resv-benchmark", "BenchmarkConservativePolicyMillion", "reservation-tier benchmark to gate on (empty disables the reservation-tier gate)")
-	fs.IntVar(&cfg.resvJobs, "resv-jobs", 67_000, "job count of the gated reservation-tier sub-runs")
-	fs.Float64Var(&cfg.resvRegress, "resv-max-regress", 0.20, "maximum allowed fractional drop of the optimized/flatresv speedup")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -164,7 +142,7 @@ func main() {
 // violation or read error.
 func run(cfg config, out io.Writer) error {
 	if cfg.benchmark != "" {
-		if err := gateRatio(out, "hot-path", cfg.benchPath, cfg.basePath, cfg.benchmark, cfg.jobs, cfg.maxRegress, "seed", "optimized"); err != nil {
+		if err := gateRatio(out, "EASY", cfg.benchPath, cfg.basePath, cfg.benchmark, cfg.jobs, cfg.maxRegress, "calibration", "optimized"); err != nil {
 			return err
 		}
 	}
@@ -189,13 +167,7 @@ func run(cfg config, out io.Writer) error {
 	}
 
 	if cfg.consBench != "" {
-		if err := gateRatio(out, "replanning", cfg.benchPath, cfg.basePath, cfg.consBench, cfg.consJobs, cfg.consRegress, "rebuild", "optimized"); err != nil {
-			return err
-		}
-	}
-
-	if cfg.idxBench != "" {
-		if err := gateRatio(out, "release-index", cfg.benchPath, cfg.basePath, cfg.idxBench, cfg.idxJobs, cfg.idxRegress, "memmove", "optimized"); err != nil {
+		if err := gateRatio(out, "replanning", cfg.benchPath, cfg.basePath, cfg.consBench, cfg.consJobs, cfg.consRegress, "calibration", "optimized"); err != nil {
 			return err
 		}
 	}
@@ -205,20 +177,14 @@ func run(cfg config, out io.Writer) error {
 			return err
 		}
 	}
-
-	if cfg.resvBench != "" {
-		if err := gateRatio(out, "reservation-tier", cfg.benchPath, cfg.basePath, cfg.resvBench, cfg.resvJobs, cfg.resvRegress, "flatresv", "optimized"); err != nil {
-			return err
-		}
-	}
 	fmt.Fprintln(out, "benchgate: ok")
 	return nil
 }
 
-// gateRatio holds one optMode/baseMode speedup ratio against the newest
-// committed baseline of the given benchmark, returning an error when it
-// drops beyond the allowed fraction. Both sub-runs come from the same
-// bench invocation on the same host, so the ratio cancels runner
+// gateRatio holds one optMode/baseMode throughput ratio against the
+// newest committed baseline of the given benchmark, returning an error
+// when it drops beyond the allowed fraction. Both sub-runs come from the
+// same bench invocation on the same host, so the ratio cancels runner
 // hardware out.
 func gateRatio(out io.Writer, label, benchPath, basePath, benchmark string, jobs int, maxRegress float64, baseMode, optMode string) error {
 	base, err := baselineRatio(basePath, benchmark, jobs, baseMode, optMode)
@@ -236,11 +202,11 @@ func gateRatio(out io.Writer, label, benchPath, basePath, benchmark string, jobs
 	}
 	ratio := opt / ref
 	floor := base * (1 - maxRegress)
-	fmt.Fprintf(out, "benchgate: %s %s/%s speedup %.2fx (%s %.0f, %s %.0f jobs/s); baseline %.2fx, floor %.2fx\n",
+	fmt.Fprintf(out, "benchgate: %s %s/%s ratio %.4g (%s %.0f, %s %.0f jobs/s); baseline %.4g, floor %.4g\n",
 		label, optMode, baseMode, ratio, optMode, opt, baseMode, ref, base, floor)
 	if ratio < floor {
-		return fmt.Errorf("%s speedup regressed %.1f%% (> %.0f%% allowed): %.2fx < %.2fx",
-			label, 100*(1-ratio/base), 100*maxRegress, ratio, floor)
+		return fmt.Errorf("%s %s/%s ratio regressed %.1f%% (> %.0f%% allowed): %.4g < %.4g",
+			label, optMode, baseMode, 100*(1-ratio/base), 100*maxRegress, ratio, floor)
 	}
 	return nil
 }

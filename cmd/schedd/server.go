@@ -300,10 +300,17 @@ func msSince(t time.Time) float64 {
 	return float64(time.Since(t)) / float64(time.Millisecond)
 }
 
+// writeJSON marshals v before anything is sent, so a value encoding/json
+// rejects (a NaN float, say) turns into a 500 with an error body instead
+// of a success status over an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		// An errorResponse always encodes, so this recursion ends.
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "encoding response: " + err.Error()})
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(body, '\n'))
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -454,5 +455,28 @@ func TestExecuteSurvivesSimulationPanic(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("next miss hung: the panicking simulation kept the only worker slot")
+	}
+}
+
+// A value encoding/json rejects must not go out as a success status over
+// an empty body: writeJSON answers 500 with an error body instead.
+func TestWriteJSONReportsEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"bsld": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var body errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("error body is not JSON: %v (%q)", err, rec.Body.String())
+	}
+	if !strings.Contains(body.Error, "encoding response") || !strings.Contains(body.Error, "NaN") {
+		t.Errorf("error body %q does not name the encode failure", body.Error)
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusTeapot, errorResponse{Error: "fine"})
+	if rec.Code != http.StatusTeapot || rec.Body.String() != "{\n  \"error\": \"fine\"\n}\n" {
+		t.Errorf("encodable value: status %d body %q", rec.Code, rec.Body.String())
 	}
 }

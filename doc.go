@@ -72,11 +72,11 @@
 // The scheduler hot path is built for multi-million-job workloads (the
 // wgen Million and TenMillion presets; BENCH_sched.json tracks the
 // trajectory and CI's cmd/benchgate fails the build when any of the
-// gated speedup ratios — EASY optimized/seed; conservative under the
-// paper's policy, where jobs queue, optimized/rebuild, optimized/memmove
-// and optimized/flatresv; the power-controller capped/off overhead — drops
-// more than 20%, or the streamed replay's peak heap grows more than
-// 20%, against it). For digging into a regression, cmd/bsldsim takes
+// gated ratios — the EASY Million replay and conservative backfilling
+// under the paper's policy, where jobs queue, each divided by a fixed
+// in-repo calibration kernel run next to it; the power-controller
+// capped/off overhead — drops more than 20%, or the streamed replay's
+// peak heap grows more than 20%, against it). For digging into a regression, cmd/bsldsim takes
 // -cpuprofile/-memprofile and writes pprof profiles of a whole run
 // (bench_test.go's benchmarks equally accept go test's own -cpuprofile).
 // Nine properties keep the path fast and flat in memory:
@@ -111,17 +111,16 @@
 //     metrics stream: without runner.Spec.KeepCollector the collector
 //     folds Results online and holds no per-job records. A 1M-job EASY
 //     replay runs at ~1.3M jobs/s with ~0.12 allocations per job.
-//   - Log-time availability profile: internal/profile keeps its usage
-//     deltas in a prefix-summed sorted tier plus a deferred-merge
-//     pending tier (binary-searched point queries, append-only Add),
-//     and bulk-loads the scheduler's incrementally maintained release
-//     skyline in one pass — conservative backfilling's replanning is no
-//     longer quadratic in profile size.
+//   - Log-time availability profile: internal/profile bulk-loads the
+//     scheduler's incrementally maintained release skyline in one pass
+//     and answers point queries and placements by directory walks over
+//     chunked tiers — conservative backfilling's replanning is not
+//     quadratic in profile size.
 //   - Persistent replanning profile: the conservative/flexible variants
 //     no longer rebuild the profile each pass. The base skyline persists
 //     across passes (job starts, completions and gear switches apply
 //     O(1) occupancy/credit deltas; expired and cancelling pairs fold
-//     away during merges), reservations placed in earlier passes are
+//     away), reservations placed in earlier passes are
 //     retained and reused verbatim up to the first queue position whose
 //     replan could differ (the changed-prefix invariant: an untouched
 //     base, the same job at the same position, planning inputs still in
@@ -131,8 +130,8 @@
 //     re-ask per retained reservation plus full replanning of the
 //     changed suffix — no O(running) profile rebuild and no profile
 //     queries for the reused prefix; conservative backfilling on the
-//     Million preset runs 7.4x faster than the rebuild-per-pass path it
-//     replaces (BENCH_sched.json, 40k jobs). The profile exists only for
+//     Million preset ran 7.4x faster than the rebuild-per-pass path it
+//     replaced (BENCH_sched.json, 40k jobs). The profile exists only for
 //     reservations, so it is loaded only when a queue head blocks: a pass
 //     that begins with no reservation held starts heads against the free
 //     processor count (exact, since occupancy then never rises after
@@ -153,14 +152,10 @@
 //     that never queues never builds it, and classic EASY no longer
 //     re-sorts the running jobs on each blocked pass (the Million model
 //     cut to 67k jobs under the paper's policy went from ~15k to ~480k
-//     jobs/s, BENCH_sched.json). The slice
-//     path survives behind Compat.SliceReleases as the differential
-//     reference (sorted-slice oracle suite, FuzzReleaseIndex, pinned
-//     shadow edge cases), and a release-schedule inconsistency now
-//     surfaces as an error from Simulate instead of a panic.
-//     Conservative backfilling over the flat profile tiers ran the FULL
-//     Million preset at 72k jobs/s, 2.3x over the memmove path
-//     (BENCH_sched.json).
+//     jobs/s, BENCH_sched.json). Tests hold it to a sorted-slice model
+//     (a randomized suite and FuzzReleaseIndex) and pin the shadow edge
+//     cases, and a release-schedule inconsistency surfaces as an error
+//     from Simulate instead of a panic.
 //   - Chunked profile tiers: the persistent profile's own structures
 //     follow the same idiom (internal/profile/skydex.go, resvindex.go).
 //     The base skyline lives in a directory of bounded chunks holding
@@ -177,19 +172,23 @@
 //     replanning loop's ascending EarliestStart calls re-enter the sweep
 //     at the previous cursor — reservation-tier changes never invalidate
 //     it (the overlay re-seeks per query), only base mutations and folds
-//     bump the version. The flat tiers (pending buffer + skyline tree +
-//     sorted reservation slices) survive behind Compat.FlatReservations
-//     as the differential reference, pinned by a pairwise quick suite,
-//     FuzzReservationTier and the compat fixtures. Conservative
-//     backfilling runs the FULL Million preset at 218k jobs/s (2.8x
-//     over the flat tiers) and the TenMillion preset at 195k jobs/s —
-//     near-flat scaling to ten million jobs (BENCH_sched.json).
+//     bump the version. Tests hold the chunk sweep to a linear merge
+//     sweep and the tiers to sorted-slice models (a pairwise quick suite
+//     and FuzzReservationTier). Conservative backfilling ran the FULL
+//     Million preset at 218k jobs/s, 2.8x over the flat tiers these
+//     replaced, and the TenMillion preset at 195k jobs/s — near-flat
+//     scaling to ten million jobs (BENCH_sched.json).
 //
-// The seed-era implementations remain available behind sched.Compat /
-// sched.SeedCompat() purely as a benchmark reference; determinism
-// regressions assert both paths produce identical schedules under every
-// base policy and queue order, and TestGoldenArtifactCSVs pins every
-// paper table and figure byte-for-byte against testdata/golden.
+// Schedules are checked against an executable reading of the paper, not
+// against older versions of the same code: a test-only reference
+// scheduler (internal/sched/oracle_test.go) implements EASY, EASY with K
+// reservations, conservative backfilling and FCFS, both queue orders and
+// the gear-policy contract with plain slices and quadratic loops, and
+// TestScheduleMatchesOracle and FuzzOracleSchedule require the production
+// System to match it on every job's start, end and gear. Runs that
+// re-gear running jobs through a bound System are pinned by schedule
+// digests, and TestGoldenArtifactCSVs pins every paper table and figure
+// byte-for-byte against testdata/golden.
 //
 // # Static analysis
 //

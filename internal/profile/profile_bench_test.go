@@ -11,7 +11,7 @@ func benchProfile(entries int) *Profile {
 	p := New(1024)
 	for i := 0; i < entries; i++ {
 		s := r.Float64() * 1e5
-		p.Add(Entry{Start: s, End: s + 1 + r.Float64()*1e4, CPUs: 1 + r.Intn(512)})
+		p.Occupy(1+r.Intn(512), s, s+1+r.Float64()*1e4)
 	}
 	return p
 }
@@ -26,12 +26,11 @@ func BenchmarkEarliestStart(b *testing.B) {
 	}
 }
 
-// BenchmarkReplanPass models one conservative replanning pass at scale:
-// bulk-load n running-job releases, then interleave reservation Adds with
-// EarliestStart queries for a queue of 256 jobs. The seed implementation
-// insertion-sorted every delta (O(n) memmoves per Add, O(n²) per pass);
-// with the bulk loader and the deferred-merge pending tier the per-pass
-// time must grow near-linearly in n — watch ns/op roughly 4× per 4× n.
+// BenchmarkReplanPass models one conservative replanning pass from a
+// fresh epoch at scale: bulk-load n running-job releases, then
+// interleave reservation placements with EarliestStart queries for a
+// queue of 256 jobs. The per-pass time must grow near-linearly in n —
+// watch ns/op roughly 4× per 4× n.
 func BenchmarkReplanPass(b *testing.B) {
 	for _, n := range []int{1_000, 4_000, 16_000} {
 		b.Run(fmt.Sprintf("running=%d", n), func(b *testing.B) {
@@ -47,10 +46,10 @@ func BenchmarkReplanPass(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.LoadReleases(total, 0, rels)
+				p.StartEpoch(total, 0, rels)
 				for k := 0; k < 256; k++ {
 					st := p.EarliestStart(1024, 3600, 0)
-					p.Add(Entry{Start: st, End: st + 3600, CPUs: 1024})
+					p.AddReservation(Entry{Start: st, End: st + 3600, CPUs: 1024})
 				}
 			}
 		})
@@ -107,62 +106,54 @@ func BenchmarkIncrementalPass(b *testing.B) {
 // the usual completion/start churn, then invalidates half the planned
 // queue (TruncateReservations), replaces it with fresh placements at
 // their earliest starts, and answers backfill-style probes through the
-// reservation overlay. The indexed mode runs the chunked reservation
-// index; the flat mode pins the PR 6-8 slice tiers for comparison. As
-// with BenchmarkIncrementalPass, per-pass cost must stay independent of
+// reservation overlay. As with BenchmarkIncrementalPass, per-pass cost must stay independent of
 // the running-set size n up to logarithmic factors.
 func BenchmarkIncrementalPassResv(b *testing.B) {
 	const queue = 64
 	for _, n := range []int{1_000, 4_000, 16_000} {
-		for _, mode := range []struct {
-			name string
-			flat bool
-		}{{"indexed", false}, {"flat", true}} {
-			b.Run(fmt.Sprintf("running=%d/%s", n, mode.name), func(b *testing.B) {
-				r := rand.New(rand.NewSource(11))
-				const total = 1 << 20
-				type job struct {
-					cpus int
-					end  float64
-				}
-				rels := make([]Release, n)
-				live := make([]job, 0, n+1)
-				t := 0.0
-				for i := range rels {
-					t += 1 + r.Float64()*10
-					rels[i] = Release{Time: t, CPUs: 1 + r.Intn(64)}
-					live = append(live, job{cpus: rels[i].CPUs, end: rels[i].Time})
-				}
-				dur := t
-				p := New(total)
-				p.FlatReservations(mode.flat)
-				p.StartEpoch(total, 0, rels)
-				now := 0.0
-				for k := 0; k < queue; k++ {
+		b.Run(fmt.Sprintf("running=%d", n), func(b *testing.B) {
+			r := rand.New(rand.NewSource(11))
+			const total = 1 << 20
+			type job struct {
+				cpus int
+				end  float64
+			}
+			rels := make([]Release, n)
+			live := make([]job, 0, n+1)
+			t := 0.0
+			for i := range rels {
+				t += 1 + r.Float64()*10
+				rels[i] = Release{Time: t, CPUs: 1 + r.Intn(64)}
+				live = append(live, job{cpus: rels[i].CPUs, end: rels[i].Time})
+			}
+			dur := t
+			p := New(total)
+			p.StartEpoch(total, 0, rels)
+			now := 0.0
+			for k := 0; k < queue; k++ {
+				st := p.EarliestStart(256, 3600, now)
+				p.AddReservation(Entry{Start: st, End: st + 3600, CPUs: 256})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				done := live[0]
+				live = live[1:]
+				now = done.end - 0.5
+				p.BeginPass(now)
+				p.Vacate(done.cpus, now, done.end)
+				started := job{cpus: 1 + r.Intn(64), end: now + dur}
+				p.Occupy(started.cpus, now, started.end)
+				live = append(live, started)
+				p.TruncateReservations(queue / 2)
+				for k := p.Reservations(); k < queue; k++ {
 					st := p.EarliestStart(256, 3600, now)
 					p.AddReservation(Entry{Start: st, End: st + 3600, CPUs: 256})
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					done := live[0]
-					live = live[1:]
-					now = done.end - 0.5
-					p.BeginPass(now)
-					p.Vacate(done.cpus, now, done.end)
-					started := job{cpus: 1 + r.Intn(64), end: now + dur}
-					p.Occupy(started.cpus, now, started.end)
-					live = append(live, started)
-					p.TruncateReservations(queue / 2)
-					for k := p.Reservations(); k < queue; k++ {
-						st := p.EarliestStart(256, 3600, now)
-						p.AddReservation(Entry{Start: st, End: st + 3600, CPUs: 256})
-					}
-					p.EarliestStart(1024, 7200, now)
-					p.CanPlace(64, now, 600)
-				}
-			})
-		}
+				p.EarliestStart(1024, 7200, now)
+				p.CanPlace(64, now, 600)
+			}
+		})
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 func TestUsedAtAndFreeAt(t *testing.T) {
 	p := New(10)
-	p.Add(Entry{Start: 0, End: 10, CPUs: 4})
-	p.Add(Entry{Start: 5, End: 15, CPUs: 3})
+	occupy(p, Entry{Start: 0, End: 10, CPUs: 4})
+	occupy(p, Entry{Start: 5, End: 15, CPUs: 3})
 	cases := []struct {
 		t    float64
 		used int
@@ -27,19 +27,23 @@ func TestUsedAtAndFreeAt(t *testing.T) {
 	}
 }
 
-func TestAddIgnoresDegenerate(t *testing.T) {
+// occupy records e in the base skyline of a fresh (never passed) profile.
+func occupy(p *Profile, e Entry) { p.Occupy(e.CPUs, e.Start, e.End) }
+
+func TestOccupyIgnoresDegenerate(t *testing.T) {
 	p := New(4)
-	p.Add(Entry{Start: 5, End: 5, CPUs: 2})
-	p.Add(Entry{Start: 5, End: 4, CPUs: 2})
-	p.Add(Entry{Start: 0, End: 10, CPUs: 0})
-	if p.Len() != 0 {
-		t.Errorf("degenerate entries stored: %d", p.Len())
+	occupy(p, Entry{Start: 5, End: 5, CPUs: 2})
+	occupy(p, Entry{Start: 5, End: 4, CPUs: 2})
+	occupy(p, Entry{Start: 0, End: 10, CPUs: 0})
+	p.Vacate(2, 5, 5)
+	if n := p.BaseDeltas(); n != 0 {
+		t.Errorf("degenerate entries stored: %d deltas", n)
 	}
 }
 
 func TestCanPlace(t *testing.T) {
 	p := New(10)
-	p.Add(Entry{Start: 10, End: 20, CPUs: 8})
+	occupy(p, Entry{Start: 10, End: 20, CPUs: 8})
 	if !p.CanPlace(2, 10, 10) {
 		t.Error("2 cpus alongside 8 should fit")
 	}
@@ -66,7 +70,7 @@ func TestCanPlace(t *testing.T) {
 // allocate.
 func TestCanPlaceZeroDurationChecksInstantaneousFree(t *testing.T) {
 	p := New(8)
-	p.Add(Entry{Start: 0, End: 100, CPUs: 8})
+	occupy(p, Entry{Start: 0, End: 100, CPUs: 8})
 	if p.CanPlace(1, 50, 0) {
 		t.Error("zero-duration placement accepted on a full machine")
 	}
@@ -83,7 +87,7 @@ func TestCanPlaceZeroDurationChecksInstantaneousFree(t *testing.T) {
 
 func TestEarliestStartBasic(t *testing.T) {
 	p := New(10)
-	p.Add(Entry{Start: 0, End: 100, CPUs: 8})
+	occupy(p, Entry{Start: 0, End: 100, CPUs: 8})
 	// 2 cpus fit immediately; 4 must wait for the release at t=100.
 	if got := p.EarliestStart(2, 50, 0); got != 0 {
 		t.Errorf("EarliestStart(2) = %v, want 0", got)
@@ -103,8 +107,8 @@ func TestEarliestStartRespectsFrom(t *testing.T) {
 func TestEarliestStartHole(t *testing.T) {
 	// A hole between two occupancy intervals: 4 cpus free during [10, 20).
 	p := New(4)
-	p.Add(Entry{Start: 0, End: 10, CPUs: 4})
-	p.Add(Entry{Start: 20, End: 30, CPUs: 4})
+	occupy(p, Entry{Start: 0, End: 10, CPUs: 4})
+	occupy(p, Entry{Start: 20, End: 30, CPUs: 4})
 	if got := p.EarliestStart(4, 10, 0); got != 10 {
 		t.Errorf("fits in hole: EarliestStart = %v, want 10", got)
 	}
@@ -162,7 +166,7 @@ func TestQuickCanPlaceMatchesReference(t *testing.T) {
 		for i := 0; i < r.Intn(10); i++ {
 			s := float64(r.Intn(50))
 			e := Entry{Start: s, End: s + float64(1+r.Intn(30)), CPUs: 1 + r.Intn(total)}
-			p.Add(e)
+			occupy(p, e)
 			entries = append(entries, e)
 		}
 		for trial := 0; trial < 20; trial++ {
@@ -193,7 +197,7 @@ func TestQuickEarliestStartOptimal(t *testing.T) {
 			s := float64(r.Intn(50))
 			d := float64(1 + r.Intn(30))
 			c := 1 + r.Intn(total)
-			p.Add(Entry{Start: s, End: s + d, CPUs: c})
+			occupy(p, Entry{Start: s, End: s + d, CPUs: c})
 			bounds = append(bounds, s, s+d)
 		}
 		cpus := 1 + r.Intn(total)
@@ -223,8 +227,8 @@ func TestQuickEarliestStartOptimal(t *testing.T) {
 	}
 }
 
-// naiveUsedAt is the seed-era reference: a linear scan over the raw
-// entries. The tiered implementation must agree everywhere.
+// naiveUsedAt is the reference: a linear scan over the raw entries. The
+// indexed implementation must agree everywhere.
 func naiveUsedAt(entries []Entry, t float64) int {
 	used := 0
 	for _, e := range entries {
@@ -235,11 +239,11 @@ func naiveUsedAt(entries []Entry, t float64) int {
 	return used
 }
 
-// Satellite regression for the binary-searched UsedAt: agreement with the
-// naive scan on randomized profiles, probed at entry boundaries (where
-// the half-open [Start, End) semantics bite) and at random times, with
-// queries interleaved between Adds so every pending/merged tier state is
-// exercised.
+// Regression for the chunk-indexed UsedAt: agreement with the naive scan
+// on randomized profiles, probed at entry boundaries (where the
+// half-open [Start, End) semantics bite) and at random times, with
+// queries interleaved between mutations so chunk splits and equal-time
+// coalescing are exercised.
 func TestQuickUsedAtMatchesNaiveScan(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -264,7 +268,7 @@ func TestQuickUsedAtMatchesNaiveScan(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			s := float64(r.Intn(80))
 			e := Entry{Start: s, End: s + float64(1+r.Intn(40)), CPUs: 1 + r.Intn(total)}
-			p.Add(e)
+			occupy(p, e)
 			entries = append(entries, e)
 			if r.Intn(4) == 0 && !probe() {
 				return false
@@ -277,9 +281,9 @@ func TestQuickUsedAtMatchesNaiveScan(t *testing.T) {
 	}
 }
 
-// LoadReleases must be observationally identical to adding one
-// [now, Time) entry per release.
-func TestLoadReleasesMatchesAdds(t *testing.T) {
+// StartEpoch's bulk load must be observationally identical to occupying
+// one [now, Time) entry per release, with reservations on top too.
+func TestStartEpochMatchesOccupies(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		total := 4 + r.Intn(60)
@@ -291,16 +295,13 @@ func TestLoadReleasesMatchesAdds(t *testing.T) {
 		}
 		sortReleases(rels)
 		bulk := New(total)
-		bulk.LoadReleases(total, now, rels)
+		bulk.StartEpoch(total, now, rels)
 		ref := New(total)
 		for _, rel := range rels {
-			ref.Add(Entry{Start: now, End: rel.Time, CPUs: rel.CPUs})
-		}
-		if bulk.Len() != ref.Len() {
-			return false
+			ref.Occupy(rel.CPUs, now, rel.Time)
 		}
 		for trial := 0; trial < 30; trial++ {
-			q := now + r.Float64()*60 - 2
+			q := now + r.Float64()*60
 			if bulk.UsedAt(q) != ref.UsedAt(q) {
 				return false
 			}
@@ -310,12 +311,11 @@ func TestLoadReleasesMatchesAdds(t *testing.T) {
 				return false
 			}
 		}
-		// Mixing reservations on top must stay equivalent too.
 		for i := 0; i < 5; i++ {
 			s := now + r.Float64()*40
 			e := Entry{Start: s, End: s + 1 + r.Float64()*20, CPUs: 1 + r.Intn(8)}
-			bulk.Add(e)
-			ref.Add(e)
+			bulk.AddReservation(e)
+			occupy(ref, e)
 			q := now + r.Float64()*60
 			if bulk.UsedAt(q) != ref.UsedAt(q) {
 				return false
@@ -336,28 +336,6 @@ func sortReleases(rels []Release) {
 	}
 }
 
-// The pending tier must fold into the main tier once it outgrows the
-// merge threshold, keeping point queries logarithmic: after thousands of
-// Adds the pending buffer stays bounded.
-func TestPendingTierStaysBounded(t *testing.T) {
-	p := New(1 << 20)
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 5000; i++ {
-		s := r.Float64() * 1e6
-		p.Add(Entry{Start: s, End: s + 1 + r.Float64()*1e4, CPUs: 1 + r.Intn(64)})
-		if i%97 == 0 {
-			p.UsedAt(r.Float64() * 1e6)
-		}
-	}
-	p.UsedAt(0)
-	if cap := 64 + len(p.deltas)/16; len(p.pending) > cap {
-		t.Errorf("pending tier %d exceeds threshold %d after queries", len(p.pending), cap)
-	}
-	if p.Len() != 5000 {
-		t.Errorf("Len = %d, want 5000", p.Len())
-	}
-}
-
 // Property: CanPlace is monotone in cpus — if n cpus fit, n-1 fit too.
 func TestQuickCanPlaceMonotone(t *testing.T) {
 	f := func(seed int64) bool {
@@ -366,7 +344,7 @@ func TestQuickCanPlaceMonotone(t *testing.T) {
 		p := New(total)
 		for i := 0; i < r.Intn(6); i++ {
 			s := float64(r.Intn(40))
-			p.Add(Entry{Start: s, End: s + float64(1+r.Intn(20)), CPUs: 1 + r.Intn(total)})
+			occupy(p, Entry{Start: s, End: s + float64(1+r.Intn(20)), CPUs: 1 + r.Intn(total)})
 		}
 		start := float64(r.Intn(40))
 		dur := float64(1 + r.Intn(20))

@@ -95,13 +95,12 @@ func checkSkyDexInvariants(d *skyDex) error {
 }
 
 // TestQuickReservationTierMatchesFlatTiers is the pairwise differential
-// for the chunked tier structures: one incremental profile on the
-// default chunked indexes and one pinned to the flat compat tiers are
-// driven through the same mixed op stream — starts, completions,
-// reservation placements at colliding integer times, suffix truncations
-// including full and no-op ones — and must answer every UsedAt and
-// EarliestStart identically, with the index invariants intact after
-// every pass.
+// for the chunked tier structures: the profile and the flat sorted-slice
+// model (flatTiers) are driven through the same mixed op stream — starts,
+// completions, reservation placements at colliding integer times, suffix
+// truncations including full and no-op ones — and must answer every
+// UsedAt and EarliestStart identically, with the index invariants intact
+// after every pass.
 func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 	passes := 1200
 	if testing.Short() {
@@ -113,15 +112,16 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 		now := float64(r.Intn(8))
 
 		idx := New(total)
-		flat := New(total)
-		flat.FlatReservations(true)
+		flat := &flatTiers{total: total}
 		var rels []Release
 		for i := 0; i < r.Intn(12); i++ {
 			rels = append(rels, Release{Time: now + float64(1+r.Intn(300)), CPUs: 1 + r.Intn(total/3)})
 		}
 		sortReleases(rels)
 		idx.StartEpoch(total, now, rels)
-		flat.StartEpoch(total, now, rels)
+		for _, rel := range rels {
+			flat.occupy(rel.CPUs, now, rel.Time)
+		}
 
 		var running []incJob
 		for _, rel := range rels {
@@ -131,19 +131,18 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 		for pass := 0; pass < passes; pass++ {
 			now += float64(r.Intn(3))
 			idx.BeginPass(now)
-			flat.BeginPass(now)
 			switch r.Intn(12) {
 			case 0, 1, 2:
 				j := incJob{cpus: 1 + r.Intn(total/2), end: now + float64(1+r.Intn(250))}
 				idx.Occupy(j.cpus, now, j.end)
-				flat.Occupy(j.cpus, now, j.end)
+				flat.occupy(j.cpus, now, j.end)
 				running = append(running, j)
 			case 3, 4:
 				if len(running) > 0 {
 					i := r.Intn(len(running))
 					j := running[i]
 					idx.Vacate(j.cpus, now, j.end)
-					flat.Vacate(j.cpus, now, j.end)
+					flat.vacate(j.cpus, now, j.end)
 					running = append(running[:i], running[i+1:]...)
 				}
 			case 5, 6, 7, 8:
@@ -154,7 +153,7 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 				st := idx.EarliestStart(cpus, dur, now)
 				e := Entry{Start: st, End: st + dur, CPUs: cpus}
 				idx.AddReservation(e)
-				flat.AddReservation(e)
+				flat.addReservation(e)
 				resvs++
 			default:
 				keep := 0
@@ -162,7 +161,7 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 					keep = r.Intn(resvs + 1) // full, partial and no-op cuts
 				}
 				idx.TruncateReservations(keep)
-				flat.TruncateReservations(keep)
+				flat.truncate(keep)
 				resvs = keep
 			}
 			if err := checkResvIndexInvariants(&idx.ridx); err != nil {
@@ -175,7 +174,7 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 			}
 			for trial := 0; trial < 3; trial++ {
 				q := now + float64(r.Intn(200))
-				if iu, fu := idx.UsedAt(q), flat.UsedAt(q); iu != fu {
+				if iu, fu := idx.UsedAt(q), flat.usedAt(q); iu != fu {
 					t.Logf("seed %d pass %d: UsedAt(%v) indexed=%d flat=%d", seed, pass, q, iu, fu)
 					return false
 				}
@@ -183,7 +182,7 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 				dur := float64(r.Intn(90))
 				from := now + float64(r.Intn(40))
 				ie := idx.EarliestStart(cpus, dur, from)
-				fe := flat.EarliestStart(cpus, dur, from)
+				fe := flat.earliest(cpus, dur, from)
 				if ie != fe {
 					t.Logf("seed %d pass %d: EarliestStart(%d,%v,%v) indexed=%v flat=%v (dex=%d ridx=%d)",
 						seed, pass, cpus, dur, from, ie, fe, idx.dex.len(), idx.ridx.len())
@@ -202,13 +201,12 @@ func TestQuickReservationTierMatchesFlatTiers(t *testing.T) {
 // with the indexed tier a truncate reprocesses at most min(suffix,
 // prefix) journal entries and a full truncate is a free reset; repeated
 // truncation to an already-applied prefix — the scheduler's steady
-// state when a pass invalidates nothing — costs zero work in both
-// modes. The counters are exact, so any regression to journal-replay
-// behavior fails the equality, not just a loose bound.
+// state when a pass invalidates nothing — costs zero work. The counters
+// are exact, so any regression to journal-replay behavior fails the
+// equality, not just a loose bound.
 func TestTruncateReservationsWorkBounds(t *testing.T) {
-	build := func(flat bool, n int) *Profile {
+	build := func(n int) *Profile {
 		p := New(64)
-		p.FlatReservations(flat)
 		p.StartEpoch(64, 0, nil)
 		for i := 0; i < n; i++ {
 			st := float64(1 + i%37)
@@ -218,7 +216,7 @@ func TestTruncateReservationsWorkBounds(t *testing.T) {
 	}
 
 	t.Run("indexed-suffix-removal", func(t *testing.T) {
-		p := build(false, 1000)
+		p := build(1000)
 		p.TruncateReservations(990)
 		if p.truncWork != 10 {
 			t.Fatalf("dropping a 10-entry suffix cost %d, want 10", p.truncWork)
@@ -228,7 +226,7 @@ func TestTruncateReservationsWorkBounds(t *testing.T) {
 		}
 	})
 	t.Run("indexed-prefix-rebuild", func(t *testing.T) {
-		p := build(false, 1000)
+		p := build(1000)
 		p.TruncateReservations(10)
 		if p.truncWork != 10 {
 			t.Fatalf("keeping a 10-entry prefix cost %d, want 10 (rebuilt from the kept side)", p.truncWork)
@@ -238,7 +236,7 @@ func TestTruncateReservationsWorkBounds(t *testing.T) {
 		}
 	})
 	t.Run("indexed-full-reset", func(t *testing.T) {
-		p := build(false, 1000)
+		p := build(1000)
 		p.TruncateReservations(0)
 		if p.truncWork != 0 {
 			t.Fatalf("full truncate cost %d, want 0 (wholesale reset)", p.truncWork)
@@ -247,48 +245,27 @@ func TestTruncateReservationsWorkBounds(t *testing.T) {
 			t.Fatalf("index still holds %d deltas after full truncate", p.ridx.len())
 		}
 	})
-	t.Run("flat-merged-tier-rebuild", func(t *testing.T) {
-		p := build(true, 200)
-		// Force the pending reservations through the flush threshold into
-		// the merged tier, then cut below the merged boundary.
-		p.EarliestStart(1, 1, 0)
-		if p.resvMain != 200 {
-			t.Fatalf("merged boundary at %d after flush, want 200", p.resvMain)
+	t.Run("repeated-same-prefix-indexed", func(t *testing.T) {
+		p := build(500)
+		p.TruncateReservations(200)
+		w := p.truncWork
+		for i := 0; i < 100; i++ {
+			p.TruncateReservations(200) // already applied: the journal shrank
+			p.TruncateReservations(700) // beyond the journal: equally free
 		}
-		p.TruncateReservations(50)
-		if p.truncWork != 50 {
-			t.Fatalf("merged-tier rebuild cost %d, want 50 (the kept prefix)", p.truncWork)
+		if p.truncWork != w {
+			t.Fatalf("repeated truncate-to-same-prefix cost %d extra entries, want 0", p.truncWork-w)
 		}
-		if p.resvMain != 50 || len(p.resvPend) != 0 {
-			t.Fatalf("after rebuild: resvMain=%d pending=%d", p.resvMain, len(p.resvPend))
+		if p.Reservations() != 200 {
+			t.Fatalf("journal at %d entries, want 200", p.Reservations())
 		}
 	})
-	for _, mode := range []struct {
-		name string
-		flat bool
-	}{{"indexed", false}, {"flat", true}} {
-		t.Run("repeated-same-prefix-"+mode.name, func(t *testing.T) {
-			p := build(mode.flat, 500)
-			p.TruncateReservations(200)
-			w := p.truncWork
-			for i := 0; i < 100; i++ {
-				p.TruncateReservations(200) // already applied: the journal shrank
-				p.TruncateReservations(700) // beyond the journal: equally free
-			}
-			if p.truncWork != w {
-				t.Fatalf("repeated truncate-to-same-prefix cost %d extra entries, want 0", p.truncWork-w)
-			}
-			if p.Reservations() != 200 {
-				t.Fatalf("journal at %d entries, want 200", p.Reservations())
-			}
-		})
-	}
 }
 
 // FuzzReservationTier drives the chunked reservation index from an
 // arbitrary byte-encoded op stream and asserts its structural invariants
-// and its query answers against a sorted-slice oracle after every
-// mutation. Each op consumes two bytes: the opcode selector and an
+// and its query answers against the sorted-slice model (sortedDeltas)
+// after every mutation. Each op consumes two bytes: the opcode selector and an
 // argument. Insert times come from the argument's low nibble, so
 // equal-time runs pile up and span chunk boundaries; removals target a
 // live delta or probe an absent key; rebuilds exercise the bulk loader
@@ -314,46 +291,35 @@ func FuzzReservationTier(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ix resvIndex
-		var live []delta // oracle: the exact multiset of indexed deltas
-		sum := func(at float64) int {
-			s := 0
-			for _, d := range live {
-				if d.t <= at {
-					s += d.d
-				}
-			}
-			return s
-		}
+		var model sortedDeltas // the exact multiset of indexed deltas, time-sorted
 		for i := 0; i+1 < len(data); i += 2 {
 			op, arg := data[i], data[i+1]
 			switch op % 5 {
 			case 0: // insert; low-nibble times force equal-time runs
 				d := delta{t: float64(arg & 0x0f), d: 1 + int(arg>>4)}
 				ix.insert(d)
-				live = append(live, d)
+				model.insert(d)
 			case 1: // remove a live delta (the truncate suffix path)
-				if len(live) == 0 {
+				if len(model) == 0 {
 					continue
 				}
-				k := int(arg) % len(live)
-				d := live[k]
+				d := model[int(arg)%len(model)]
 				if !ix.removeOne(d.t, d.d) {
 					t.Fatalf("removeOne(%v,%d) missed a live delta", d.t, d.d)
 				}
-				live[k] = live[len(live)-1]
-				live = live[:len(live)-1]
+				model.removeOne(d.t, d.d)
 			case 2: // removal probe with an impossible magnitude: must miss
 				if ix.removeOne(float64(arg&0x0f), 99) {
 					t.Fatal("removeOne hit an absent delta")
 				}
 			case 3: // point and entry queries against the oracle
 				at := float64(arg&0x0f) + float64(arg>>4)/32
-				if got, want := ix.sumAt(at), sum(at); got != want {
+				if got, want := ix.sumAt(at), model.sumAt(at); got != want {
 					t.Fatalf("sumAt(%v) = %d, oracle %d", at, got, want)
 				}
 				ci, k, s := ix.seek(at)
-				if s != sum(at) {
-					t.Fatalf("seek(%v) sum %d, oracle %d", at, s, sum(at))
+				if s != model.sumAt(at) {
+					t.Fatalf("seek(%v) sum %d, oracle %d", at, s, model.sumAt(at))
 				}
 				if ci < len(ix.chunks) {
 					if k >= len(ix.chunks[ci]) {
@@ -363,13 +329,11 @@ func FuzzReservationTier(f *testing.F) {
 						t.Fatalf("seek(%v) landed on key %v", at, ix.chunks[ci][k].t)
 					}
 				}
-			case 4: // rebuild from the oracle (the truncate prefix path)
-				ds := slices.Clone(live)
-				slices.SortFunc(ds, deltaCmp)
-				ix.load(ds)
+			case 4: // rebuild from the model (the truncate prefix path)
+				ix.load(slices.Clone(model))
 			}
-			if ix.len() != len(live) {
-				t.Fatalf("op %d: size %d, oracle %d", i/2, ix.len(), len(live))
+			if ix.len() != len(model) {
+				t.Fatalf("op %d: size %d, oracle %d", i/2, ix.len(), len(model))
 			}
 			if err := checkResvIndexInvariants(&ix); err != nil {
 				t.Fatalf("op %d: %v", i/2, err)
@@ -382,7 +346,7 @@ func FuzzReservationTier(f *testing.F) {
 		if !sort.SliceIsSorted(got, func(a, b int) bool { return got[a].t < got[b].t }) {
 			t.Fatal("final iteration out of time order")
 		}
-		want := slices.Clone(live)
+		want := slices.Clone(model)
 		key := func(a, b delta) int {
 			if c := deltaCmp(a, b); c != 0 {
 				return c

@@ -112,7 +112,6 @@ func TestHashDeterminismAndSensitivity(t *testing.T) {
 	for name, mutate := range map[string]func(*Spec){
 		"keepcollector": func(s *Spec) { s.KeepCollector = true },
 		"materialize":   func(s *Spec) { s.Materialize = true },
-		"compat":        func(s *Spec) { s.Compat = sched.Compat{ScanRemoval: true} },
 	} {
 		s := ctcSpec()
 		mutate(&s)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/dvfs"
@@ -9,7 +10,7 @@ import (
 
 // wqGearPolicy picks gears from the queue-depth argument alone, so any
 // drift in the depth a head start passes changes the job's gear, and with
-// it its end, against the rebuild reference.
+// it its end.
 type wqGearPolicy struct {
 	gears dvfs.GearSet
 }
@@ -93,10 +94,11 @@ func (a *idleAudit) PassEnd(now float64, queued, busy int) {
 // profile is kept bounded (or dropped) through the idle passes after it.
 func TestConservativeIdleQueueSkipsProfile(t *testing.T) {
 	gears := dvfs.PaperGearSet()
-	build := func(variant Variant, resv int, pol GearPolicy, compat Compat, rec Recorder) *System {
+	tm := dvfs.NewTimeModel(0.5, gears)
+	build := func(variant Variant, resv int, pol GearPolicy, rec Recorder) *System {
 		sys, err := New(Config{
-			CPUs: 16, Gears: gears, TimeModel: dvfs.NewTimeModel(0.5, gears),
-			Policy: pol, Variant: variant, Reservations: resv, Recorder: rec, Compat: compat,
+			CPUs: 16, Gears: gears, TimeModel: tm,
+			Policy: pol, Variant: variant, Reservations: resv, Recorder: rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -122,8 +124,8 @@ func TestConservativeIdleQueueSkipsProfile(t *testing.T) {
 		}{{"conservative", Conservative, 0}, {"flexible-4", EASY, 4}} {
 			t.Run(v.name, func(t *testing.T) {
 				pol := wqGearPolicy{gears: gears}
-				got, want := newAudit(t, 16), newAudit(t, 16)
-				sys := build(v.variant, v.resv, pol, Compat{}, got)
+				got := newAudit(t, 16)
+				sys := build(v.variant, v.resv, pol, got)
 				if err := sys.Simulate(tr); err != nil {
 					t.Fatal(err)
 				}
@@ -131,14 +133,15 @@ func TestConservativeIdleQueueSkipsProfile(t *testing.T) {
 					t.Fatalf("never-blocked replay built the profile (%v) or the release schedule (live %v, %d loads, %d releases)",
 						sys.prof != nil, sys.relLive, sys.relLoads, sys.relIdx.len())
 				}
-				ref := build(v.variant, v.resv, pol, Compat{RebuildProfile: true}, want)
-				if err := ref.Simulate(tr); err != nil {
-					t.Fatal(err)
-				}
-				for id, st := range want.starts {
-					if got.starts[id] != st || got.ends[id] != want.ends[id] || got.gears[id] != want.gears[id] {
-						t.Fatalf("job %d: start %v end %v gear %v, rebuild reference %v %v %v",
-							id, got.starts[id], got.ends[id], got.gears[id], st, want.ends[id], want.gears[id])
+				// Nothing ever waits, so every job starts at its submit
+				// time, alone in the queue: the gear is the policy's
+				// immediate-start choice at queue depth 0.
+				for _, j := range tr.Jobs {
+					g := pol.ReserveGear(j, j.Submit, j.Submit, 0)
+					end := j.Submit + j.EffectiveRuntime()*tm.CoefWithBeta(j.Beta, g)
+					if got.starts[j.ID] != j.Submit || got.ends[j.ID] != end || got.gears[j.ID] != g {
+						t.Fatalf("job %d: start %v end %v gear %v, want %v %v %v",
+							j.ID, got.starts[j.ID], got.ends[j.ID], got.gears[j.ID], j.Submit, end, g)
 					}
 				}
 			})
@@ -164,7 +167,7 @@ func TestConservativeIdleQueueSkipsProfile(t *testing.T) {
 		}
 		block(9000)
 		audit := &idleAudit{t: t}
-		sys := build(Conservative, 0, topPolicy(), Compat{}, audit)
+		sys := build(Conservative, 0, topPolicy(), audit)
 		audit.sys = sys
 		if err := sys.Simulate(tr); err != nil {
 			t.Fatal(err)
@@ -177,4 +180,113 @@ func TestConservativeIdleQueueSkipsProfile(t *testing.T) {
 			t.Errorf("%d release schedule loads, want 1", sys.relLoads)
 		}
 	})
+}
+
+// phasesTrace alternates drained phases — single small jobs spaced so
+// nothing ever waits, with pairs that end together at their kill limit —
+// and deep-queue bursts of wide jobs; each drained phase starts only once
+// the burst before it has fully run, even one job at a time at the
+// slowest gear, so every burst's queue drains before the next phase.
+func phasesTrace(seed int64, cpus int) *workload.Trace {
+	r := rand.New(rand.NewSource(seed))
+	tr := &workload.Trace{Name: "phases", CPUs: cpus}
+	add := func(at, rt, rq float64, procs int) {
+		tr.Jobs = append(tr.Jobs, &workload.Job{
+			ID: len(tr.Jobs) + 1, Submit: at, Runtime: rt, ReqTime: rq, Procs: procs, Beta: -1,
+		})
+	}
+	const slowest = 2 // bounds the paper gear set's dilation at β = 0.5
+	at := 0.0
+	for phase := 0; phase < 6; phase++ {
+		if phase%2 == 0 {
+			for i := 0; i < 40; i++ {
+				at += 40
+				if i%8 == 7 {
+					// Kill-limit-exact pair: the first completion's pass
+					// finds the other's planned release at now.
+					procs := 1 + r.Intn(4)
+					add(at, 10, 10, procs)
+					add(at, 10, 10, procs)
+					continue
+				}
+				rt := 1 + r.Float64()*9
+				add(at, rt, rt*(1+r.Float64()), 1+r.Intn(4))
+			}
+			at += 40
+			continue
+		}
+		span := 0.0
+		for i := 0; i < 40; i++ {
+			rt := 20 + r.Float64()*200
+			rq := rt * (1 + r.Float64())
+			add(at+float64(i), rt, rq, 1+r.Intn(cpus))
+			span += rq * slowest
+		}
+		at += span
+	}
+	return tr
+}
+
+// phaseAudit counts, from pass-end samples, how a replanning replay moved
+// between its two pass kinds: passes that begin with no reservation held
+// (the queue drained at the previous pass end) run without the profile,
+// passes that end with jobs waiting used it. loads counts the passes that
+// brought the profile up from not live, drops those that dropped it.
+type phaseAudit struct {
+	sys                         *System
+	idle, blocked, loads, drops int
+	queued, live                bool
+}
+
+func (*phaseAudit) JobStarted(*RunState, float64)  {}
+func (*phaseAudit) JobFinished(*RunState, float64) {}
+
+func (a *phaseAudit) PassEnd(now float64, queued, busy int) {
+	if !a.queued {
+		a.idle++
+	}
+	if queued > 0 {
+		a.blocked++
+	}
+	switch {
+	case !a.live && a.sys.profLive:
+		a.loads++
+	case a.live && !a.sys.profLive:
+		a.drops++
+	}
+	a.queued, a.live = queued > 0, a.sys.profLive
+}
+
+// TestPhasesTraceLoadsAndDropsProfile guards the phase fixture the
+// oracle suite replays: on the replanning variants it must move between
+// passes without the profile and blocked passes with it, loading the
+// profile more than once and dropping it in between, so the oracle
+// comparison covers the profile's load and drop.
+func TestPhasesTraceLoadsAndDropsProfile(t *testing.T) {
+	gears := dvfs.PaperGearSet()
+	for _, v := range []struct {
+		name    string
+		variant Variant
+		resv    int
+	}{{"conservative", Conservative, 0}, {"flexible-4", EASY, 4}} {
+		for seed := int64(1); seed <= 4; seed++ {
+			obs := &phaseAudit{}
+			sys, err := New(Config{
+				CPUs: 16, Gears: gears, TimeModel: dvfs.NewTimeModel(0.5, gears),
+				Policy: topPolicy(), Variant: v.variant, Reservations: v.resv,
+				Recorder: MultiRecorder{newAudit(t, 16), obs},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs.sys = sys
+			if err := sys.Simulate(phasesTrace(seed, 16)); err != nil {
+				t.Fatal(err)
+			}
+			if obs.idle == 0 || obs.blocked == 0 || obs.loads < 2 || obs.drops == 0 {
+				t.Fatalf("%s seed %d: phases fixture too weak: %d passes without the profile, %d blocked passes, %d loads, %d drops",
+					v.name, seed, obs.idle, obs.blocked, obs.loads, obs.drops)
+			}
+		}
+	}
 }

@@ -45,29 +45,19 @@ func (p *corruptingPolicy) ControlPass(sys *System, now float64) {
 
 // TestCorruptedPlannedEndReportsNotCrashes is the regression for the
 // relRemove "release schedule lost job" panic: a PlannedEnd corrupted
-// between relAdd and relRemove must surface as an error from Simulate —
-// on every maintained schedule (chunked index and compat slice alike,
-// classic EASY included) — and must never take the process down, under
-// every compat mode. The seed mode keeps no schedule and re-reads the run
-// list each pass, so the corruption is absorbed and the run completes;
-// what the test pins there is the absence of a crash.
+// between relAdd and relRemove must surface as an error from Simulate on
+// every variant's release schedule, classic EASY included, and must never
+// take the process down.
 func TestCorruptedPlannedEndReportsNotCrashes(t *testing.T) {
 	gears := dvfs.PaperGearSet()
 	cases := []struct {
-		name      string
-		variant   Variant
-		resv      int
-		compat    Compat
-		wantError bool
+		name    string
+		variant Variant
+		resv    int
 	}{
-		{"conservative-index", Conservative, 0, Compat{}, true},
-		{"conservative-slice", Conservative, 0, Compat{SliceReleases: true}, true},
-		{"conservative-rebuild-index", Conservative, 0, Compat{RebuildProfile: true}, true},
-		{"conservative-rebuild-slice", Conservative, 0, Compat{RebuildProfile: true, SliceReleases: true}, true},
-		{"flexible-index", EASY, 4, Compat{}, true},
-		{"conservative-seed", Conservative, 0, SeedCompat(), false},
-		{"easy-index", EASY, 0, Compat{}, true},
-		{"easy-slice", EASY, 0, Compat{SliceReleases: true}, true},
+		{"conservative-index", Conservative, 0},
+		{"flexible-index", EASY, 4},
+		{"easy-index", EASY, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,7 +68,6 @@ func TestCorruptedPlannedEndReportsNotCrashes(t *testing.T) {
 				Policy:       pol,
 				Variant:      tc.variant,
 				Reservations: tc.resv,
-				Compat:       tc.compat,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -87,15 +76,11 @@ func TestCorruptedPlannedEndReportsNotCrashes(t *testing.T) {
 			if !pol.corrupted {
 				t.Fatal("fixture never corrupted a PlannedEnd; raise the trace length")
 			}
-			if tc.wantError {
-				if err == nil {
-					t.Fatal("Simulate returned nil, want release-schedule invariant error")
-				}
-				if !strings.Contains(err.Error(), "release schedule lost job") {
-					t.Fatalf("Simulate error = %q, want a release-schedule invariant report", err)
-				}
-			} else if err != nil {
-				t.Fatalf("Simulate returned %v; the rebuilding schedule should absorb the corruption", err)
+			if err == nil {
+				t.Fatal("Simulate returned nil, want release-schedule invariant error")
+			}
+			if !strings.Contains(err.Error(), "release schedule lost job") {
+				t.Fatalf("Simulate error = %q, want a release-schedule invariant report", err)
 			}
 		})
 	}

@@ -8,19 +8,17 @@ import (
 
 // The chunked ordered release index is the (PlannedEnd, id)-sorted release
 // schedule of every variant: it feeds the classic-EASY shadow sweep and the
-// replanning profile's bulk loads. The flat slice it replaced cost an
+// replanning profile's bulk loads. A flat sorted slice would cost an
 // O(running) memmove per insert and remove — the dominant term of
-// conservative/flexible passes once the availability profile became
-// persistent — and classic EASY re-sorted it from the run list on nearly
-// every blocked pass. The index keeps the same total order
-// over small sorted chunks: an insert or remove binary-searches the chunk
-// directory, then moves at most one chunk's worth of entries, so the cost
-// is O(log n + C) for chunk capacity C instead of O(n). In-order
-// iteration (the shadow sweep, the profile bulk snapshot) walks the
-// chunks front to back and is as cache-friendly as the flat slice was.
-//
-// The flat slice survives behind Compat.SliceReleases as the
-// differentially-tested reference, mirroring Compat.RebuildProfile.
+// conservative/flexible passes once the availability profile persists.
+// The index keeps the same total order over small sorted chunks: an
+// insert or remove binary-searches the chunk directory, then moves at
+// most one chunk's worth of entries, so the cost is O(log n + C) for
+// chunk capacity C instead of O(n). In-order iteration (the shadow sweep,
+// the profile bulk snapshot) walks the chunks front to back and is as
+// cache-friendly as a flat slice. Tests check it against a sorted-slice
+// model (relOracle) and replay whole schedules against the test-only
+// reference scheduler.
 const (
 	// relChunkMax is the split threshold: a chunk reaching this many
 	// entries is halved. 256 releases (24 bytes each, 6 KiB) bound the
@@ -207,7 +205,7 @@ func (ix *relIndex) load(rels []release) {
 
 // appendClamped appends every indexed release in (t, id) order to buf,
 // with times at or before now clamped strictly after it — the bulk
-// snapshot feeding profile.LoadReleases / StartEpoch. Clamping maps a
+// snapshot feeding profile.StartEpoch. Clamping maps a
 // prefix of the order onto one shared point, so the result stays sorted.
 func (ix *relIndex) appendClamped(buf []profile.Release, now float64) []profile.Release {
 	for _, ch := range ix.chunks {
@@ -216,17 +214,4 @@ func (ix *relIndex) appendClamped(buf []profile.Release, now float64) []profile.
 		}
 	}
 	return buf
-}
-
-// each calls fn on every release in (t, id) order until fn returns false.
-// Hot-path consumers iterate ix.chunks directly; this is the ordered
-// traversal for tests and oracles.
-func (ix *relIndex) each(fn func(release) bool) {
-	for _, ch := range ix.chunks {
-		for _, r := range ch {
-			if !fn(r) {
-				return
-			}
-		}
-	}
 }

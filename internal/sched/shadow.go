@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
-	"repro/internal/profile"
 	"repro/internal/workload"
 )
 
@@ -47,23 +45,6 @@ func (s *System) collectReleases() []release {
 	return rels
 }
 
-// sortedReleases returns the release schedule of a Compat.SliceReleases
-// system as a flat slice sorted by (raw planned end, job ID),
-// materializing it from the run list on first use; index-backed systems
-// consume releaseIndex instead.
-//
-// Times are stored unclamped; consumers clamp entries at or before `now`
-// to strictly-after-now on the fly. Clamping maps a prefix of the sorted
-// order onto one shared time point, and every consumer treats equal-time
-// releases as a single group, so the result is identical to the seed-era
-// clamp-then-sort order.
-func (s *System) sortedReleases() []release {
-	if !s.relLive {
-		s.relCache = s.collectReleases()
-	}
-	return s.relCache
-}
-
 // releaseIndex returns the chunked ordered release index, bulk-loading it
 // from the run list on first use. The load copies the sorted scratch into
 // chunks, so the scratch is dropped with the call.
@@ -75,37 +56,12 @@ func (s *System) releaseIndex() *relIndex {
 }
 
 // releaseCount returns the number of live planned releases.
-func (s *System) releaseCount() int {
-	if s.relIndexed {
-		return s.releaseIndex().len()
-	}
-	return len(s.sortedReleases())
-}
+func (s *System) releaseCount() int { return s.releaseIndex().len() }
 
 // minRelease returns the earliest (unclamped) planned release time.
 func (s *System) minRelease() (float64, bool) {
-	if s.relIndexed {
-		r, ok := s.releaseIndex().min()
-		return r.t, ok
-	}
-	rels := s.sortedReleases()
-	if len(rels) == 0 {
-		return 0, false
-	}
-	return rels[0].t, true
-}
-
-// appendClampedReleases appends the sorted release schedule, clamped
-// strictly after now, to buf — the bulk snapshot feeding the availability
-// profile's LoadReleases / StartEpoch.
-func (s *System) appendClampedReleases(buf []profile.Release, now float64) []profile.Release {
-	if s.relIndexed {
-		return s.releaseIndex().appendClamped(buf, now)
-	}
-	for _, r := range s.sortedReleases() {
-		buf = append(buf, profile.Release{Time: clampRelease(r.t, now), CPUs: r.cpus})
-	}
-	return buf
+	r, ok := s.releaseIndex().min()
+	return r.t, ok
 }
 
 // relAdd registers a newly started (or re-geared) job's planned release
@@ -115,18 +71,7 @@ func (s *System) relAdd(rs *RunState) {
 	if !s.relLive {
 		return
 	}
-	r := release{t: rs.PlannedEnd, cpus: rs.Job.Procs, id: rs.Job.ID}
-	if s.relIndexed {
-		s.relIdx.insert(r)
-		return
-	}
-	i := sort.Search(len(s.relCache), func(k int) bool {
-		c := s.relCache[k]
-		return c.t > r.t || (c.t == r.t && c.id > r.id)
-	})
-	s.relCache = append(s.relCache, release{})
-	copy(s.relCache[i+1:], s.relCache[i:])
-	s.relCache[i] = r
+	s.relIdx.insert(release{t: rs.PlannedEnd, cpus: rs.Job.Procs, id: rs.Job.ID})
 }
 
 // relRemove drops a finished (or about-to-be-re-geared) job's planned
@@ -139,22 +84,9 @@ func (s *System) relRemove(rs *RunState) error {
 	if !s.relLive {
 		return nil
 	}
-	t, id := rs.PlannedEnd, rs.Job.ID
-	if s.relIndexed {
-		if !s.relIdx.remove(t, id) {
-			return lostReleaseError(id, t)
-		}
-		return nil
+	if !s.relIdx.remove(rs.PlannedEnd, rs.Job.ID) {
+		return lostReleaseError(rs.Job.ID, rs.PlannedEnd)
 	}
-	i := sort.Search(len(s.relCache), func(k int) bool {
-		c := s.relCache[k]
-		return c.t > t || (c.t == t && c.id >= id)
-	})
-	if i >= len(s.relCache) || s.relCache[i].t != t || s.relCache[i].id != id {
-		return lostReleaseError(id, t)
-	}
-	copy(s.relCache[i:], s.relCache[i+1:])
-	s.relCache = s.relCache[:len(s.relCache)-1]
 	return nil
 }
 
@@ -184,38 +116,12 @@ func clampRelease(t, now float64) float64 {
 //
 // Because only running jobs hold processors (EASY keeps a single
 // reservation), availability is non-decreasing in time and the sweep over
-// planned completions is exact. The sweep walks the chunked release index;
-// Compat.SliceReleases sweeps the flat reference slice instead and the
-// seed-era path re-sorts the run list per call (shadowSeed).
+// planned completions is exact. One in-order walk of the release index
+// runs two phases: accumulate releases until the head fits, then absorb
+// the equal-time group at the shadow instant — the head starts once they
+// have all completed, so their processors count toward the extra pool.
 func (s *System) shadow(head *workload.Job, now float64) (float64, int) {
 	avail := s.cl.FreeCount()
-	if s.cfg.Compat.ScratchAlloc {
-		return s.shadowSeed(head, now, avail)
-	}
-	if s.relIndexed {
-		return s.shadowIndexed(head, now, avail)
-	}
-	rels := s.sortedReleases()
-	shadowT := now
-	i := 0
-	for ; i < len(rels) && avail < head.Procs; i++ {
-		avail += rels[i].cpus
-		shadowT = clampRelease(rels[i].t, now)
-	}
-	// Include every release at exactly the shadow time: the head starts
-	// once they have all completed, so their processors count as
-	// available when sizing the extra pool.
-	for ; i < len(rels) && clampRelease(rels[i].t, now) == shadowT; i++ {
-		avail += rels[i].cpus
-	}
-	return shadowT, avail - head.Procs
-}
-
-// shadowIndexed is the shadow sweep over the chunked release index: the
-// same two phases as the slice sweep — accumulate releases until the head
-// fits, then absorb the equal-time group at the shadow instant — fused
-// into one in-order walk of the chunks.
-func (s *System) shadowIndexed(head *workload.Job, now float64, avail int) (float64, int) {
 	shadowT := now
 	grouping := avail >= head.Procs
 	for _, ch := range s.releaseIndex().chunks {
@@ -231,37 +137,6 @@ func (s *System) shadowIndexed(head *workload.Job, now float64, avail int) (floa
 			shadowT = clampRelease(r.t, now)
 			grouping = avail >= head.Procs
 		}
-	}
-	return shadowT, avail - head.Procs
-}
-
-// shadowSeed is the seed-era shadow computation: rebuild the release
-// list, clamp, then sort, on every blocked pass.
-func (s *System) shadowSeed(head *workload.Job, now float64, avail int) (float64, int) {
-	rels := make([]release, 0, s.runningCount())
-	for _, rs := range s.runList {
-		if rs == nil {
-			continue
-		}
-		rels = append(rels, release{t: clampRelease(rs.PlannedEnd, now), cpus: rs.Job.Procs, id: rs.Job.ID})
-	}
-	sort.Slice(rels, func(i, j int) bool {
-		if rels[i].t != rels[j].t {
-			return rels[i].t < rels[j].t
-		}
-		return rels[i].id < rels[j].id
-	})
-	shadowT := now
-	i := 0
-	for ; i < len(rels) && avail < head.Procs; i++ {
-		avail += rels[i].cpus
-		shadowT = rels[i].t
-	}
-	for ; i < len(rels) && rels[i].t == shadowT; i++ {
-		avail += rels[i].cpus
-	}
-	if shadowT < now {
-		shadowT = now
 	}
 	return shadowT, avail - head.Procs
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/dvfs"
@@ -15,11 +16,11 @@ type runningSpec struct {
 }
 
 // buildVariantSystem constructs a System mid-simulation like
-// buildRunningSystem, but for any variant/compat combination, so the
-// shadow sweep can be probed over the slice cache, the chunked index and
-// the seed rebuild alike (the schedule materializes lazily from the run
-// list on the first sweep, so the white-box run list is picked up).
-func buildVariantSystem(t *testing.T, total int, variant Variant, compat Compat, running []runningSpec) *System {
+// buildRunningSystem, but for any variant, so the shadow sweep can be
+// probed over the release index each variant keeps (the schedule
+// materializes lazily from the run list on the first sweep, so the
+// white-box run list is picked up).
+func buildVariantSystem(t *testing.T, total int, variant Variant, running []runningSpec) *System {
 	t.Helper()
 	gears := dvfs.PaperGearSet()
 	sys, err := New(Config{
@@ -27,7 +28,6 @@ func buildVariantSystem(t *testing.T, total int, variant Variant, compat Compat,
 		TimeModel: dvfs.NewTimeModel(0.5, gears),
 		Policy:    FixedGear{Gear: gears.Top()},
 		Variant:   variant,
-		Compat:    compat,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,11 +47,39 @@ func buildVariantSystem(t *testing.T, total int, variant Variant, compat Compat,
 	return sys
 }
 
-// TestShadowEdgeCasesPinnedAgainstSeed pins the optimized shadow sweeps —
-// the chunked release index (the default of every variant) and the flat
-// sorted slice (Compat.SliceReleases) — against the seed-era
-// rebuild-clamp-sort reference on the boundary shapes where the clamp and
-// the equal-time grouping interact:
+// seedShadow is the seed-era shadow computation, kept as the reference:
+// rebuild the release list from the running jobs, clamp every release to
+// strictly after now, sort, and consume releases until the head fits,
+// then absorb the rest of the equal-time group at the shadow instant.
+func seedShadow(running []runningSpec, total, headProcs int, now float64) (float64, int) {
+	type rel struct {
+		t    float64
+		cpus int
+	}
+	avail := total
+	var rels []rel
+	for _, r := range running {
+		avail -= r.cpus
+		rels = append(rels, rel{t: clampRelease(r.end, now), cpus: r.cpus})
+	}
+	sort.SliceStable(rels, func(i, j int) bool { return rels[i].t < rels[j].t })
+	shadowT := now
+	i := 0
+	for ; i < len(rels) && avail < headProcs; i++ {
+		avail += rels[i].cpus
+		shadowT = rels[i].t
+	}
+	for ; i < len(rels) && rels[i].t == shadowT; i++ {
+		avail += rels[i].cpus
+	}
+	return shadowT, avail - headProcs
+}
+
+// TestShadowEdgeCasesPinnedAgainstSeed pins the release-index shadow
+// sweep, on the EASY and the conservative system alike, against the
+// seed-era rebuild-clamp-sort reference and against hand-computed
+// values on the boundary shapes where the clamp and the equal-time
+// grouping interact:
 //
 //   - every release at or before now, so the whole schedule clamps onto
 //     one shared instant (math.Nextafter(now, +inf));
@@ -67,6 +95,10 @@ func TestShadowEdgeCasesPinnedAgainstSeed(t *testing.T) {
 		running   []runningSpec
 		headProcs int
 		now       float64
+		// wantT (NaN: one ulp after now) and wantExtra are the
+		// hand-computed shadow.
+		wantT     float64
+		wantExtra int
 	}{
 		{
 			// All three planned ends are <= now: each clamps to the same
@@ -78,6 +110,8 @@ func TestShadowEdgeCasesPinnedAgainstSeed(t *testing.T) {
 			},
 			headProcs: 12,
 			now:       100,
+			wantT:     math.NaN(),
+			wantExtra: 4,
 		},
 		{
 			// The head needs the whole machine: no proper release prefix
@@ -89,6 +123,8 @@ func TestShadowEdgeCasesPinnedAgainstSeed(t *testing.T) {
 			},
 			headProcs: 16,
 			now:       5,
+			wantT:     80,
+			wantExtra: 0,
 		},
 		{
 			// Five releases share t=50; availability crosses the head's
@@ -101,6 +137,8 @@ func TestShadowEdgeCasesPinnedAgainstSeed(t *testing.T) {
 			},
 			headProcs: 6,
 			now:       10,
+			wantT:     50,
+			wantExtra: 14,
 		},
 		{
 			// Equal-time group at the clamp instant: two jobs at their
@@ -113,6 +151,8 @@ func TestShadowEdgeCasesPinnedAgainstSeed(t *testing.T) {
 			},
 			headProcs: 8,
 			now:       30,
+			wantT:     math.NaN(),
+			wantExtra: 0,
 		},
 		{
 			// The head fits right now: the sweep must consume nothing and
@@ -124,41 +164,39 @@ func TestShadowEdgeCasesPinnedAgainstSeed(t *testing.T) {
 			},
 			headProcs: 8,
 			now:       3,
+			wantT:     3,
+			wantExtra: 0,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			head := &workload.Job{ID: 999, Procs: tc.headProcs, Runtime: 10, ReqTime: 10, Beta: -1}
 
-			// Seed reference: rebuild, clamp, sort on a scratch system.
-			seedSys := buildVariantSystem(t, tc.total, EASY, Compat{ScratchAlloc: true}, tc.running)
-			wantT, wantExtra := seedSys.shadow(head, tc.now)
+			wantT, wantExtra := seedShadow(tc.running, tc.total, tc.headProcs, tc.now)
+			pinT := tc.wantT
+			if math.IsNaN(pinT) {
+				pinT = math.Nextafter(tc.now, math.Inf(1))
+			}
+			if wantT != pinT || wantExtra != tc.wantExtra {
+				t.Fatalf("seed reference shadow = (%v, %d), hand-computed (%v, %d)", wantT, wantExtra, pinT, tc.wantExtra)
+			}
 
 			paths := []struct {
 				name    string
 				variant Variant
-				compat  Compat
-				indexed bool
 			}{
-				{"index", EASY, Compat{}, true},
-				{"easy-slice", EASY, Compat{SliceReleases: true}, false},
-				{"conservative-index", Conservative, Compat{}, true},
-				{"compat-slice-releases", Conservative, Compat{SliceReleases: true}, false},
+				{"easy", EASY},
+				{"conservative", Conservative},
 			}
 			for _, p := range paths {
-				sys := buildVariantSystem(t, tc.total, p.variant, p.compat, tc.running)
-				if sys.relIndexed != p.indexed {
-					t.Fatalf("%s: relIndexed = %v, want %v", p.name, sys.relIndexed, p.indexed)
-				}
+				sys := buildVariantSystem(t, tc.total, p.variant, tc.running)
 				gotT, gotExtra := sys.shadow(head, tc.now)
-				if math.Abs(gotT-wantT) > 0 || gotExtra != wantExtra {
+				if gotT != wantT || gotExtra != wantExtra {
 					t.Errorf("%s: shadow = (%v, %d), seed reference (%v, %d)",
 						p.name, gotT, gotExtra, wantT, wantExtra)
 				}
-				if p.indexed {
-					if err := checkRelIndexInvariants(&sys.relIdx); err != nil {
-						t.Errorf("%s: %v", p.name, err)
-					}
+				if err := checkRelIndexInvariants(&sys.relIdx); err != nil {
+					t.Errorf("%s: %v", p.name, err)
 				}
 				// The sweep must not mutate the schedule: a second call
 				// answers identically from the schedule the first call

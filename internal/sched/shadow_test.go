@@ -72,7 +72,7 @@ func TestShadowMatchesProfileOracle(t *testing.T) {
 
 		prof := profile.New(total)
 		for _, rs := range sys.runList {
-			prof.Add(profile.Entry{Start: 0, End: rs.PlannedEnd, CPUs: rs.Job.Procs})
+			prof.Occupy(rs.Job.Procs, 0, rs.PlannedEnd)
 		}
 		wantShadow := prof.EarliestStart(head.Procs, horizon, 0)
 		if math.Abs(gotShadow-wantShadow) > 1e-9 {

@@ -91,51 +91,6 @@ func ParseOrder(name string) (Order, error) {
 	return 0, fmt.Errorf("sched: unknown queue order %q (fcfs, sjf)", name)
 }
 
-// Compat selects seed-era reference implementations of hot-path pieces.
-// The zero value is the optimized path and is what every production
-// caller should use; the flags exist so benchmarks can quantify each
-// optimization and so determinism regressions can prove the optimized
-// path replays traces identically to the original implementation.
-type Compat struct {
-	// UpfrontArrivals schedules every arrival of the trace into the event
-	// heap before the run starts (heap size O(trace)) instead of feeding
-	// arrivals lazily from the sorted trace (heap size O(running jobs)).
-	UpfrontArrivals bool
-	// ScanRemoval removes finished jobs from the run list by linear scan
-	// and ordered deletion (O(running) per completion) instead of the
-	// indexed tombstone scheme.
-	ScanRemoval bool
-	// ScratchAlloc allocates fresh scratch (shadow release lists, kept
-	// queues, availability profiles, engine events) on every pass instead
-	// of reusing per-system buffers.
-	ScratchAlloc bool
-	// RebuildProfile rebuilds the availability profile from the cached
-	// release schedule on every replanning pass instead of persisting it
-	// across passes under the changed-prefix analysis. It quantifies the
-	// incremental-replanning win on its own (ScratchAlloc implies an even
-	// older per-entry rebuild).
-	RebuildProfile bool
-	// SliceReleases maintains the (PlannedEnd, id)-sorted release
-	// schedule as a flat slice with O(running) memmove insert/remove
-	// instead of the chunked ordered release index. Kept as the
-	// differentially-tested reference and to quantify the index win on
-	// its own.
-	SliceReleases bool
-	// FlatReservations keeps the persistent profile's reservation layer
-	// in the flat tier pair (merged slice plus lazily re-sorted pending
-	// slice, the PR 5–8 path) instead of the chunked ordered reservation
-	// index. Kept as the differentially-tested reference and to quantify
-	// the index win on its own.
-	FlatReservations bool
-}
-
-// SeedCompat returns the full seed-era behavior: every hot-path
-// optimization disabled.
-func SeedCompat() Compat {
-	return Compat{UpfrontArrivals: true, ScanRemoval: true, ScratchAlloc: true,
-		RebuildProfile: true, SliceReleases: true, FlatReservations: true}
-}
-
 // Config assembles a simulated system.
 type Config struct {
 	CPUs      int
@@ -161,9 +116,6 @@ type Config struct {
 	// give "flexible" backfilling that protects the first K queued jobs;
 	// Conservative ignores this (every job is protected).
 	Reservations int
-	// Compat re-enables seed-era hot-path behavior for benchmarking and
-	// determinism regression; leave zero for production use.
-	Compat Compat
 }
 
 // System simulates one cluster under one scheduling policy.
@@ -200,22 +152,19 @@ type System struct {
 	invErr     error   // first scheduler invariant violation; aborts the run
 
 	// The release schedule holds the live jobs' planned releases sorted
-	// by (PlannedEnd, job ID), the input of the EASY shadow sweep and of
-	// the replanning profile's bulk loads: the chunked ordered index
-	// relIdx by default (O(log n + chunk) per mutation), the flat relCache
-	// slice with memmove insert/remove under Compat.SliceReleases (the
-	// differential reference). It is materialized lazily: a fresh system
-	// maintains nothing until its first consumer (a blocked EASY pass, the
-	// replanning profile's first load) bulk-loads it from the run list, so
-	// a replay that never queues pays nothing and run lists assembled
-	// outside start() (as white-box tests do) are picked up. From then on
-	// (relLive) every start, completion and gear change updates it in
-	// place. relLoads counts bulk loads, at most one per system.
-	relCache   []release
-	relIdx     relIndex
-	relLive    bool
-	relIndexed bool
-	relLoads   int
+	// by (PlannedEnd, job ID) in the chunked ordered index relIdx
+	// (O(log n + chunk) per mutation), the input of the EASY shadow sweep
+	// and of the replanning profile's bulk loads. It is materialized
+	// lazily: a fresh system maintains nothing until its first consumer
+	// (a blocked EASY pass, the replanning profile's first load)
+	// bulk-loads it from the run list, so a replay that never queues pays
+	// nothing and run lists assembled outside start() (as white-box tests
+	// do) are picked up. From then on (relLive) every start, completion
+	// and gear change updates it in place. relLoads counts bulk loads, at
+	// most one per system.
+	relIdx   relIndex
+	relLive  bool
+	relLoads int
 
 	// prof and profRels are per-system scratch reused across replanning
 	// passes: the availability profile and the clamped release schedule
@@ -276,9 +225,7 @@ func New(cfg Config) (*System, error) {
 		engine: sim.NewEngine(),
 		cl:     cl,
 	}
-	s.relIndexed = !cfg.Compat.ScratchAlloc && !cfg.Compat.SliceReleases
 	_, s.profWiden = cfg.Policy.(EstMonotonePolicy)
-	s.engine.NoPool = cfg.Compat.ScratchAlloc
 	// A gear policy that is also a controller serves both seams: the
 	// per-job decisions through GearPolicy, the per-pass ones through
 	// ControlPass. It keeps its hook even when an explicit cluster-level
@@ -330,8 +277,7 @@ func (s *System) controlPass(now float64) {
 func (s *System) Now() float64 { return s.engine.Now() }
 
 // PeakEvents returns the high-water mark of the event heap over the run —
-// O(running jobs) with streamed arrivals, O(trace) under the seed-era
-// upfront scheduling.
+// O(running jobs), since arrivals are streamed.
 func (s *System) PeakEvents() int { return s.engine.MaxPending() }
 
 // QueueLen returns the number of jobs waiting on execution.
@@ -396,8 +342,8 @@ func (s *System) actDur(j *workload.Job, g dvfs.Gear) float64 {
 // Arrivals are fed to the event engine lazily from the submit-sorted
 // trace: at most one future arrival is in the event heap at any time, so
 // the heap holds O(running jobs) events regardless of trace length. An
-// unsorted trace is sorted into a private copy first (the event heap of
-// the original implementation performed the same ordering implicitly).
+// unsorted trace is stable-sorted by submit time into a private copy
+// first, so submit ties keep their file order.
 func (s *System) Simulate(tr *workload.Trace) error {
 	if err := tr.Validate(); err != nil {
 		return err
@@ -412,13 +358,7 @@ func (s *System) Simulate(tr *workload.Trace) error {
 		}
 	}
 	jobs := tr.Jobs
-	if sorted {
-		// Nothing to do: the adapter below streams jobs in slice order.
-	} else if s.cfg.Compat.UpfrontArrivals {
-		// The seed path historically accepted unsorted traces in file
-		// order — the event heap sorts, with insertion order breaking
-		// submit ties exactly like the stable sort below.
-	} else {
+	if !sorted {
 		jobs = append([]*workload.Job(nil), tr.Jobs...)
 		sort.SliceStable(jobs, func(a, b int) bool {
 			return jobs[a].Submit < jobs[b].Submit
@@ -452,19 +392,7 @@ func (s *System) simulateSource(src workload.JobSource, trusted bool) error {
 	s.srcPtr, _ = src.(workload.PtrSource)
 	s.srcTrusted = trusted
 	s.fedJobs, s.lastSubmit, s.srcErr, s.invErr = 0, 0, nil, nil
-	if s.cfg.Compat.UpfrontArrivals {
-		// Seed-era reference behavior: the whole workload enters the event
-		// heap before the run starts — O(trace) heap, kept for benchmarks.
-		for {
-			err := s.feedArrival()
-			if err != nil {
-				return err
-			}
-			if s.src == nil {
-				break
-			}
-		}
-	} else if err := s.feedArrival(); err != nil {
+	if err := s.feedArrival(); err != nil {
 		return err
 	}
 	if s.fedJobs == 0 {
@@ -522,16 +450,13 @@ func (s *System) feedArrival() error {
 		if j.Procs > s.cfg.CPUs {
 			return fmt.Errorf("sched: job %d needs %d > %d processors", j.ID, j.Procs, s.cfg.CPUs)
 		}
-		if !s.cfg.Compat.UpfrontArrivals {
-			// Streamed feeding relies on nondecreasing submits: the next
-			// arrival is scheduled while the engine sits at the previous
-			// one.
-			if s.fedJobs > 0 && j.Submit < s.lastSubmit {
-				return fmt.Errorf("sched: workload stream not sorted by submit time (job %d at %v after %v)",
-					j.ID, j.Submit, s.lastSubmit)
-			}
-			s.lastSubmit = j.Submit
+		// Streamed feeding relies on nondecreasing submits: the next
+		// arrival is scheduled while the engine sits at the previous one.
+		if s.fedJobs > 0 && j.Submit < s.lastSubmit {
+			return fmt.Errorf("sched: workload stream not sorted by submit time (job %d at %v after %v)",
+				j.ID, j.Submit, s.lastSubmit)
 		}
+		s.lastSubmit = j.Submit
 	}
 	s.fedJobs++
 	if _, err := s.engine.Schedule(j.Submit, sim.EvArrival, j); err != nil {
@@ -617,10 +542,6 @@ func (s *System) pass(now float64) {
 	shadow, extra := s.shadow(head, now)
 	free := s.cl.FreeCount()
 	kept := s.queue[:1]
-	if s.cfg.Compat.ScratchAlloc {
-		kept = make([]*workload.Job, 1, len(s.queue))
-		kept[0] = head
-	}
 	qlen := len(s.queue)
 	for _, j := range s.queue[1:] {
 		started := false
@@ -663,13 +584,6 @@ func (s *System) startHeads(now float64) {
 	if started == 0 {
 		return
 	}
-	if s.cfg.Compat.ScratchAlloc {
-		// Seed-era queue pop: re-slicing forward abandons the backing
-		// array's front, so nearly every subsequent arrival append
-		// reallocates (kept as the benchmark reference).
-		s.queue = s.queue[started:]
-		return
-	}
 	// Shift the remainder to the front: the queue's capacity stays
 	// anchored at index 0, so arrival appends reuse it instead of
 	// allocating.
@@ -705,72 +619,31 @@ type resvInfo struct {
 // conservative backfilling; small maxRes yields "flexible" EASY variants
 // protecting the first K queued jobs.
 //
-// The default path persists the profile across passes: the base skyline
-// is kept current incrementally and the leading run of reservations whose
-// replan provably reproduces them is reused verbatim. A pass then costs
-// one gear-policy re-ask per retained reservation (the reuse proof) plus
-// full replanning of the changed suffix — the O(running) profile rebuild
-// and the per-prefix-position profile sweeps are gone. A pass that begins
-// with no reservation held starts heads without the profile, which is
-// loaded only when one blocks.
-// Compat.RebuildProfile selects the bulk-rebuild-per-pass reference,
-// Compat.ScratchAlloc the seed-era per-entry rebuild; all three produce
-// byte-identical schedules.
+// The profile persists across passes: the base skyline is kept current
+// incrementally and the leading run of reservations whose replan provably
+// reproduces them is reused verbatim. A pass then costs one gear-policy
+// re-ask per retained reservation (the reuse proof) plus full replanning
+// of the changed suffix. A pass that begins with no reservation held
+// starts heads without the profile, which is loaded only when one blocks.
 func (s *System) profilePass(now float64, maxRes int) {
-	var prof *profile.Profile
-	resume := 0
-	switch {
-	case s.cfg.Compat.ScratchAlloc:
-		// Seed-era path: a fresh profile filled entry by entry from the
-		// run list. Releases at or before `now` are clamped strictly
-		// after it — a job at its kill limit still occupies processors
-		// until its completion event fires (possibly at this same
-		// timestamp, later in the event order), so the profile must not
-		// over-commit the machine.
-		prof = profile.New(s.cl.Total())
-		for _, rs := range s.runList {
-			if rs == nil {
-				continue // tombstoned completion
-			}
-			prof.Add(profile.Entry{Start: now, End: clampRelease(rs.PlannedEnd, now), CPUs: rs.Job.Procs})
+	if len(s.resvMeta) == 0 {
+		// No job holds a reservation, so the base skyline is the running
+		// set alone and, with every release clamped strictly after now,
+		// occupancy never rises from now on: EarliestStart returns now
+		// exactly when a job fits the free processors, at any gear. Heads
+		// start without the profile, which is loaded only once one blocks.
+		s.idleProfile(now)
+		s.startHeads(now)
+		if len(s.queue) == 0 {
+			s.controlPass(now)
+			return
 		}
-	case s.cfg.Compat.RebuildProfile:
-		// Bulk-rebuild reference: load the sorted release schedule from
-		// scratch every pass (from the index or the compat slice). The
-		// clamp maps a prefix of the sorted order onto one shared point
-		// strictly after now, so the schedule stays sorted and the
-		// resulting step function is identical to the seed path's.
-		if s.prof == nil {
-			s.prof = profile.New(s.cl.Total())
-		}
-		s.profRels = s.appendClampedReleases(s.profRels[:0], now)
-		s.prof.LoadReleases(s.cl.Total(), now, s.profRels)
-		prof = s.prof
-	default:
-		if len(s.resvMeta) == 0 {
-			// No job holds a reservation, so the base skyline is the
-			// running set alone and, with every release clamped strictly
-			// after now, occupancy never rises from now on: EarliestStart
-			// returns now exactly when a job fits the free processors,
-			// at any gear. Heads start without the profile, which is
-			// loaded only once one blocks.
-			s.idleProfile(now)
-			s.startHeads(now)
-			if len(s.queue) == 0 {
-				s.controlPass(now)
-				return
-			}
-		}
-		prof = s.persistentProfile(now)
-		resume = s.cleanPrefix(now, maxRes)
-		prof.TruncateReservations(resume)
-		s.truncResvMeta(resume)
 	}
-	incremental := !s.cfg.Compat.ScratchAlloc && !s.cfg.Compat.RebuildProfile
+	prof := s.persistentProfile(now)
+	resume := s.cleanPrefix(now, maxRes)
+	prof.TruncateReservations(resume)
+	s.truncResvMeta(resume)
 	kept := s.queue[:resume]
-	if s.cfg.Compat.ScratchAlloc {
-		kept = make([]*workload.Job, 0, len(s.queue))
-	}
 	qlen := len(s.queue)
 	reserved := resume
 	for _, j := range s.queue[resume:] {
@@ -783,22 +656,11 @@ func (s *System) profilePass(now float64, maxRes int) {
 			d := s.reqDur(j, g)
 			st := prof.EarliestStart(j.Procs, d, now)
 			if st <= now {
-				s.start(j, g, now) // registers its own occupancy when incremental
+				s.start(j, g, now) // registers its own occupancy
 				qlen--
-				if !incremental {
-					// The clamp keeps a zero-duration start (ReqTime 0)
-					// occupying its processors at `now` itself; without it
-					// the pass could place another job on them and break
-					// the allocation invariant.
-					prof.Add(profile.Entry{Start: now, End: clampRelease(now+d, now), CPUs: j.Procs})
-				}
 			} else {
-				if incremental {
-					prof.AddReservation(profile.Entry{Start: st, End: st + d, CPUs: j.Procs})
-					s.resvMeta = append(s.resvMeta, resvInfo{job: j, est: est, start: st, gear: g})
-				} else {
-					prof.Add(profile.Entry{Start: st, End: st + d, CPUs: j.Procs})
-				}
+				prof.AddReservation(profile.Entry{Start: st, End: st + d, CPUs: j.Procs})
+				s.resvMeta = append(s.resvMeta, resvInfo{job: j, est: est, start: st, gear: g})
 				reserved++
 				kept = append(kept, j)
 			}
@@ -811,26 +673,21 @@ func (s *System) profilePass(now float64, maxRes int) {
 		if g, ok := s.cfg.Policy.BackfillGear(j, now, qlen-1, feasible); ok && feasible(g) {
 			s.start(j, g, now)
 			qlen--
-			if !incremental {
-				prof.Add(profile.Entry{Start: now, End: clampRelease(now+s.reqDur(j, g), now), CPUs: j.Procs})
-			}
 			continue
 		}
 		kept = append(kept, j)
 	}
 	s.setQueue(kept)
-	if incremental {
-		if s.profMut {
-			// The base changed under the retained reservations in a way the
-			// reuse proof doesn't cover (under the widened analysis only
-			// freed capacity — a completion or gear switch — raises the
-			// flag; otherwise any start this pass does too): the next pass
-			// must replan from the head.
-			s.profClean = 0
-			s.profMut = false
-		} else {
-			s.profClean = len(s.resvMeta)
-		}
+	if s.profMut {
+		// The base changed under the retained reservations in a way the
+		// reuse proof doesn't cover (under the widened analysis only
+		// freed capacity — a completion or gear switch — raises the flag;
+		// otherwise any start this pass does too): the next pass must
+		// replan from the head.
+		s.profClean = 0
+		s.profMut = false
+	} else {
+		s.profClean = len(s.resvMeta)
 	}
 	s.controlPass(now)
 }
@@ -843,10 +700,9 @@ func (s *System) profilePass(now float64, maxRes int) {
 func (s *System) persistentProfile(now float64) *profile.Profile {
 	if s.prof == nil {
 		s.prof = profile.New(s.cl.Total())
-		s.prof.FlatReservations(s.cfg.Compat.FlatReservations)
 	}
 	if !s.profLive || s.epochDue(now) {
-		s.profRels = s.appendClampedReleases(s.profRels[:0], now)
+		s.profRels = s.releaseIndex().appendClamped(s.profRels[:0], now)
 		s.prof.StartEpoch(s.cl.Total(), now, s.profRels)
 		// Re-anchor the credit bookkeeping: completions must hand back
 		// exactly the occupancy the epoch load recorded.
@@ -1031,19 +887,10 @@ func (s *System) finish(rs *RunState, now float64) {
 		s.profMut = true
 		s.prof.Vacate(rs.Job.Procs, now, rs.profEnd)
 	}
-	if s.cfg.Compat.ScanRemoval {
-		for i, r := range s.runList {
-			if r == rs {
-				s.runList = append(s.runList[:i], s.runList[i+1:]...)
-				break
-			}
-		}
-	} else {
-		s.runList[rs.runIdx] = nil
-		s.runNil++
-		if s.runNil*2 > len(s.runList) {
-			s.compactRunList()
-		}
+	s.runList[rs.runIdx] = nil
+	s.runNil++
+	if s.runNil*2 > len(s.runList) {
+		s.compactRunList()
 	}
 	// Close the open phase in place (equivalent to rs.AllPhases(now) but
 	// without copying the closed-phase history for every completion).
@@ -1054,11 +901,9 @@ func (s *System) finish(rs *RunState, now float64) {
 	if s.cfg.Recorder != nil {
 		s.cfg.Recorder.JobFinished(rs, now)
 	}
-	if !s.cfg.Compat.ScratchAlloc {
-		// The RunState is dead once its completion callbacks returned:
-		// recycle it (recorders must not retain it past JobFinished).
-		s.rsPool = append(s.rsPool, rs)
-	}
+	// The RunState is dead once its completion callbacks returned:
+	// recycle it (recorders must not retain it past JobFinished).
+	s.rsPool = append(s.rsPool, rs)
 }
 
 // SetGear switches a running job to gear g at time now, rescaling its

@@ -508,3 +508,61 @@ func TestRunStateWallClock(t *testing.T) {
 		t.Errorf("WallClock = %v", rs.WallClock(150))
 	}
 }
+
+// The tombstoned run list must preserve start order across heavy churn:
+// Running() always reports live jobs in the order they started, and the
+// indexes stay consistent after compaction.
+func TestRunListTombstoneCompaction(t *testing.T) {
+	checker := runOrderChecker{t: t}
+	sys := paperSystem(t, 8, EASY, orderAuditPolicy{checker: &checker}, nil)
+	tr := randomTrace(7, 8, 300)
+	if err := sys.Simulate(tr); err != nil {
+		t.Fatal(err)
+	}
+	if sys.runningCount() != 0 {
+		t.Errorf("runningCount = %d after drain, want 0", sys.runningCount())
+	}
+	if checker.passes == 0 {
+		t.Fatal("order checker never ran")
+	}
+}
+
+type runOrderChecker struct {
+	t      *testing.T
+	passes int
+}
+
+// orderAuditPolicy verifies Running()'s ordering and index invariants
+// after every pass, mid-simulation, where tombstones are live.
+type orderAuditPolicy struct {
+	checker *runOrderChecker
+}
+
+func (p orderAuditPolicy) Name() string { return "order-audit" }
+func (p orderAuditPolicy) ReserveGear(j *workload.Job, start, now float64, wq int) dvfs.Gear {
+	return dvfs.PaperGearSet().Top()
+}
+func (p orderAuditPolicy) BackfillGear(j *workload.Job, now float64, wq int, feasible func(dvfs.Gear) bool) (dvfs.Gear, bool) {
+	g := dvfs.PaperGearSet().Top()
+	return g, feasible(g)
+}
+func (p orderAuditPolicy) Bind(*System) {}
+func (p orderAuditPolicy) ControlPass(sys *System, now float64) {
+	p.checker.passes++
+	running := sys.Running()
+	for i, rs := range running {
+		if rs == nil {
+			p.checker.t.Fatalf("Running()[%d] is nil", i)
+		}
+		if rs.runIdx != i {
+			p.checker.t.Fatalf("Running()[%d].runIdx = %d", i, rs.runIdx)
+		}
+		if i > 0 && rs.Start < running[i-1].Start {
+			p.checker.t.Fatalf("Running() out of start order at %d: %v < %v",
+				i, rs.Start, running[i-1].Start)
+		}
+	}
+	if got := sys.runningCount(); got != len(running) {
+		p.checker.t.Fatalf("runningCount = %d, Running() has %d", got, len(running))
+	}
+}

@@ -346,33 +346,45 @@ func TestStaleHandleCannotCancelReusedEvent(t *testing.T) {
 	}
 }
 
-// Pooled and unpooled engines must dispatch identical sequences.
+// Event pooling must not change the dispatch order: with events recycled
+// between schedules, the engine still dispatches in (time, kind,
+// insertion) order — completions before arrivals at equal times.
 func TestPoolingDoesNotChangeDispatchOrder(t *testing.T) {
-	runSeq := func(noPool bool) []Time {
-		e := NewEngine()
-		e.NoPool = noPool
-		var got []Time
-		// Interleave scheduling from inside the handler so the pool is
-		// actually exercised (events recycle between schedules).
-		e.Schedule(0, EvArrival, nil)
-		next := Time(1)
-		e.Run(func(ev Event) {
-			got = append(got, ev.T)
-			if next <= 10 {
-				e.Schedule(next, EvEnd, nil)
-				e.Schedule(next, EvArrival, nil)
-				next += 2
-			}
-		})
-		return got
+	e := NewEngine()
+	type fired struct {
+		t    Time
+		kind EventKind
+		tag  int
 	}
-	pooled, plain := runSeq(false), runSeq(true)
-	if len(pooled) != len(plain) {
-		t.Fatalf("pooled dispatched %d events, plain %d", len(pooled), len(plain))
+	var got []fired
+	// Interleave scheduling from inside the handler so the pool is
+	// actually exercised (events recycle between schedules).
+	e.Schedule(0, EvArrival, 0)
+	next, tag := Time(1), 1
+	e.Run(func(ev Event) {
+		got = append(got, fired{ev.T, ev.Kind, ev.Payload.(int)})
+		if next <= 10 {
+			e.Schedule(next, EvArrival, tag)
+			e.Schedule(next, EvEnd, tag+1)
+			e.Schedule(next, EvArrival, tag+2)
+			next += 2
+			tag += 3
+		}
+	})
+	if len(e.pool) == 0 {
+		t.Fatal("no event was recycled")
 	}
-	for i := range pooled {
-		if pooled[i] != plain[i] {
-			t.Fatalf("dispatch %d: pooled t=%v, plain t=%v", i, pooled[i], plain[i])
+	want := []fired{{0, EvArrival, 0}}
+	for i, tm := 0, Time(1); tm <= 9; i, tm = i+1, tm+2 {
+		base := 1 + 3*i
+		want = append(want, fired{tm, EvEnd, base + 1}, fired{tm, EvArrival, base}, fired{tm, EvArrival, base + 2})
+	}
+	if len(got) != len(want) {
+		t.Fatalf("dispatched %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("dispatch %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
