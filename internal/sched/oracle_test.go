@@ -489,10 +489,11 @@ func shuffledTrace(seed int64, tr *workload.Trace) *workload.Trace {
 // (EASY, EASY with 4 reservations, conservative, FCFS) under both queue
 // orders and three gear policies replays randomized workloads through the
 // production System and the reference scheduler, which must agree on
-// every job's start, end and gear. Inputs per cell: 20 random traces, the
-// drained/deep-queue phase traces that move the replanning variants in
-// and out of their profile-free passes, and shuffled traces with tied
-// submits given out of order. A cell whose traces barely queue would
+// every job's start, end and gear. Each policy and order has two cells:
+// the base cell replays 20 random traces plus shuffled traces with tied
+// submits given out of order; the -phases cell replays the drained and
+// deep-queue phase traces that move the replanning variants in and out
+// of their profile-free passes. A cell whose traces barely queue would
 // check little, so each must make a quarter of its jobs wait.
 func TestScheduleMatchesOracle(t *testing.T) {
 	const cpus = 16
@@ -502,34 +503,48 @@ func TestScheduleMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		seeds = 5
 	}
+	suites := []struct {
+		suffix string
+		seeds  int64
+		inputs func(seed int64) []*workload.Trace
+	}{
+		{"", seeds, func(seed int64) []*workload.Trace {
+			tr := oracleTrace(seed, cpus, 200)
+			if seed <= 4 {
+				return []*workload.Trace{tr, shuffledTrace(seed, tr)}
+			}
+			return []*workload.Trace{tr}
+		}},
+		{"-phases", 4, func(seed int64) []*workload.Trace {
+			return []*workload.Trace{sched.PhasesTrace(seed, cpus)}
+		}},
+	}
 	for _, v := range oracleVariants {
 		for _, order := range []sched.Order{sched.FCFSOrder, sched.SJFOrder} {
-			name := v.name
-			if order == sched.SJFOrder {
-				name += "-sjf"
-			}
-			for _, pol := range oraclePolicies(t, gears, tm) {
-				t.Run(name+"/"+pol.name, func(t *testing.T) {
-					cfg := sched.Config{
-						CPUs: cpus, Gears: gears, TimeModel: tm, Policy: pol.policy,
-						Variant: v.variant, Order: order, Reservations: v.resv,
-					}
-					jobs, waited := 0, 0
-					for seed := int64(1); seed <= seeds; seed++ {
-						tr := oracleTrace(seed, cpus, 200)
-						inputs := []*workload.Trace{tr}
-						if seed <= 4 {
-							inputs = append(inputs, sched.PhasesTrace(seed, cpus), shuffledTrace(seed, tr))
+			for _, suite := range suites {
+				name := v.name
+				if order == sched.SJFOrder {
+					name += "-sjf"
+				}
+				name += suite.suffix
+				for _, pol := range oraclePolicies(t, gears, tm) {
+					t.Run(name+"/"+pol.name, func(t *testing.T) {
+						cfg := sched.Config{
+							CPUs: cpus, Gears: gears, TimeModel: tm, Policy: pol.policy,
+							Variant: v.variant, Order: order, Reservations: v.resv,
 						}
-						for _, in := range inputs {
-							jobs += len(in.Jobs)
-							waited += checkAgainstOracle(t, cfg, in)
+						jobs, waited := 0, 0
+						for seed := int64(1); seed <= suite.seeds; seed++ {
+							for _, in := range suite.inputs(seed) {
+								jobs += len(in.Jobs)
+								waited += checkAgainstOracle(t, cfg, in)
+							}
 						}
-					}
-					if 4*waited < jobs {
-						t.Fatalf("only %d of %d jobs waited", waited, jobs)
-					}
-				})
+						if 4*waited < jobs {
+							t.Fatalf("only %d of %d jobs waited", waited, jobs)
+						}
+					})
+				}
 			}
 		}
 	}
