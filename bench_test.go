@@ -22,7 +22,6 @@ import (
 	"repro/internal/dvfs"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sweep"
@@ -290,7 +289,11 @@ func BenchmarkSimulate(b *testing.B) {
 			tr := benchTrace(b, name, 5000)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := runner.Run(runner.Spec{Trace: tr}); err != nil {
+				sc, err := scenario.Compile(scenario.Spec{Trace: tr})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sc.Execute(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -302,16 +305,15 @@ func BenchmarkSimulate(b *testing.B) {
 // BenchmarkSimulatePowerAware measures the power-aware scheduler's
 // overhead relative to plain EASY (the frequency loop runs per decision).
 func BenchmarkSimulatePowerAware(b *testing.B) {
-	gears := dvfs.PaperGearSet()
-	pol, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit},
-		gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
-	if err != nil {
-		b.Fatal(err)
-	}
+	pol := ablationPolicy(b, core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
 	tr := benchTrace(b, "CTC", 5000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(runner.Spec{Trace: tr, Policy: pol}); err != nil {
+		sc, err := scenario.Compile(scenario.Spec{Trace: tr, GearPolicy: pol})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sc.Execute(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -326,7 +328,7 @@ func BenchmarkSimulatePowerAware(b *testing.B) {
 func BenchmarkSweepSerialVsParallel(b *testing.B) {
 	grid := sweep.Grid{
 		Traces: []string{"CTC", "SDSCBlue"},
-		Policies: []sweep.PolicyConfig{
+		Policies: []scenario.PolicyConfig{
 			{},
 			{BSLDThr: 2, WQThr: 16},
 			{BSLDThr: 3, WQThr: core.NoWQLimit},
@@ -524,10 +526,14 @@ func BenchmarkEASYMillion(b *testing.B) {
 		best := time.Duration(math.MaxInt64)
 		for i := 0; i < b.N; i++ {
 			best = min(best, fastestRound(easyRounds, func() {
-				out, err := runner.Run(runner.Spec{
+				sc, err := scenario.Compile(scenario.Spec{
 					Trace:          tr,
 					ExtraRecorders: []sched.Recorder{sampler},
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				out, err := sc.Execute()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -559,7 +565,11 @@ func BenchmarkConservativeFullMillion(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			out, err := runner.Run(runner.Spec{Source: src, Variant: sched.Conservative})
+			sc, err := scenario.Compile(scenario.Spec{Source: src, Variant: "conservative"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			out, err := sc.Execute()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -629,15 +639,19 @@ func BenchmarkControllerMillion(b *testing.B) {
 	for _, mode := range []string{"off", "capped"} {
 		b.Run(fmt.Sprintf("jobs=%d/%s", jobs, mode), func(b *testing.B) {
 			tr := benchTrace(b, "Million", jobs)
-			spec := runner.Spec{Trace: tr}
+			spec := scenario.Spec{Trace: tr}
 			if mode == "capped" {
 				spec.Controller = scenario.ControllerConfig{CapFrac: 1}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			var last runner.Outcome
+			var last scenario.Outcome
 			for i := 0; i < b.N; i++ {
-				out, err := runner.Run(spec)
+				sc, err := scenario.Compile(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				out, err := sc.Execute()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -710,7 +724,11 @@ func BenchmarkConservativeTenMillion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := runner.Run(runner.Spec{Source: src, Variant: sched.Conservative})
+		sc, err := scenario.Compile(scenario.Spec{Source: src, Variant: "conservative"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := sc.Execute()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -745,7 +763,7 @@ func BenchmarkScenarioConcurrentReplay(b *testing.B) {
 	jobs := sc.Jobs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		outs := make([]runner.Outcome, replicas)
+		outs := make([]scenario.Outcome, replicas)
 		var wg sync.WaitGroup
 		for r := 0; r < replicas; r++ {
 			wg.Add(1)
@@ -811,11 +829,11 @@ func BenchmarkStreamingMillionHeap(b *testing.B) {
 	var materialized *metrics.Results
 	for _, mode := range []string{"materialized", "streamed"} {
 		b.Run(fmt.Sprintf("jobs=%d/%s", wgen.MillionJobs, mode), func(b *testing.B) {
-			var last runner.Outcome
+			var last scenario.Outcome
 			var peakMB, traceMB float64
 			for i := 0; i < b.N; i++ {
 				heap := metrics.NewHeapWatermark(0)
-				spec := runner.Spec{ExtraRecorders: []sched.Recorder{heap}}
+				spec := scenario.Spec{ExtraRecorders: []sched.Recorder{heap}}
 				if mode == "materialized" {
 					tr, err := wgen.Generate(wgen.Million())
 					if err != nil {
@@ -831,7 +849,11 @@ func BenchmarkStreamingMillionHeap(b *testing.B) {
 				}
 				heap.Sample()
 				traceMB = heap.PeakMB()
-				out, err := runner.Run(spec)
+				sc, err := scenario.Compile(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				out, err := sc.Execute()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -866,7 +888,11 @@ func BenchmarkStreamingTenMillionReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		out, err := runner.Run(runner.Spec{Source: src, ExtraRecorders: []sched.Recorder{heap}})
+		sc, err := scenario.Compile(scenario.Spec{Source: src, ExtraRecorders: []sched.Recorder{heap}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := sc.Execute()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -884,14 +910,38 @@ func BenchmarkStreamingTenMillionReplay(b *testing.B) {
 
 const ablationJobs = 2000
 
+// ablationPolicy builds the paper's policy over the paper's gears at the
+// paper's β, for ablations whose knobs scenario.PolicyConfig does not
+// carry (or that hold the policy's β fixed while the run's varies).
 func ablationPolicy(b *testing.B, params core.Params) sched.GearPolicy {
 	b.Helper()
 	gears := dvfs.PaperGearSet()
-	pol, err := core.NewPolicy(params, gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
+	pol, err := core.NewPolicy(params, gears, dvfs.NewTimeModel(scenario.DefaultBeta, gears))
 	if err != nil {
 		b.Fatal(err)
 	}
 	return pol
+}
+
+// ablationRun compiles spec and reports the policy outcome of b.N
+// executions (compilation outside the timed loop) with its no-DVFS
+// baseline on the same machine, executed once untimed.
+func ablationRun(b *testing.B, spec scenario.Spec) (out, base scenario.Outcome) {
+	b.Helper()
+	sc, err := scenario.Compile(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if base, err = sc.WithBaseline().Execute(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out, err = sc.Execute(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return out, base
 }
 
 // BenchmarkAblationStrictBackfillBSLD compares the default lenient
@@ -908,13 +958,7 @@ func BenchmarkAblationStrictBackfillBSLD(b *testing.B) {
 			pol := ablationPolicy(b, core.Params{
 				BSLDThreshold: 2, WQThreshold: core.NoWQLimit, StrictBackfillBSLD: strict,
 			})
-			var out runner.Outcome
-			var err error
-			for i := 0; i < b.N; i++ {
-				if out, err = runner.Run(runner.Spec{Trace: tr, Policy: pol}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			out, _ := ablationRun(b, scenario.Spec{Trace: tr, GearPolicy: pol})
 			b.ReportMetric(out.Results.AvgWait, "avg-wait-s")
 			b.ReportMetric(out.Results.AvgBSLD, "avg-BSLD")
 		})
@@ -922,23 +966,15 @@ func BenchmarkAblationStrictBackfillBSLD(b *testing.B) {
 }
 
 // BenchmarkAblationBeta sweeps the β dilation sensitivity the paper fixes
-// at 0.5 (its Section 7 future work calls for a per-job β analysis).
+// at 0.5 (its Section 7 future work calls for a per-job β analysis). The
+// policy keeps predicting with the paper's β=0.5 while the run dilates
+// with the swept β: the ablation measures a mis-modelled β.
 func BenchmarkAblationBeta(b *testing.B) {
 	tr := benchTrace(b, "SDSCBlue", ablationJobs)
-	base, err := runner.Run(runner.Spec{Trace: tr})
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, beta := range []float64{0.25, 0.5, 0.75, 1.0} {
 		b.Run(fmt.Sprintf("beta=%.2f", beta), func(b *testing.B) {
 			pol := ablationPolicy(b, core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-			var out runner.Outcome
-			var err error
-			for i := 0; i < b.N; i++ {
-				if out, err = runner.Run(runner.Spec{Trace: tr, Policy: pol, Beta: beta}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			out, base := ablationRun(b, scenario.Spec{Trace: tr, GearPolicy: pol, Beta: &beta})
 			b.ReportMetric(100*out.Results.CompEnergy/base.Results.CompEnergy, "energy-%")
 			b.ReportMetric(out.Results.AvgBSLD, "avg-BSLD")
 		})
@@ -949,26 +985,15 @@ func BenchmarkAblationBeta(b *testing.B) {
 // extension: raising running reduced jobs to Ftop once the queue grows.
 func BenchmarkAblationDynamicBoost(b *testing.B) {
 	tr := benchTrace(b, "SDSCBlue", ablationJobs)
-	base, err := runner.Run(runner.Spec{Trace: tr})
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, boost := range []bool{false, true} {
 		name := "off"
 		if boost {
 			name = "on"
 		}
 		b.Run(name, func(b *testing.B) {
-			pol := ablationPolicy(b, core.Params{
-				BSLDThreshold: 2, WQThreshold: core.NoWQLimit, Boost: boost, BoostWQ: 16,
-			})
-			var out runner.Outcome
-			var err error
-			for i := 0; i < b.N; i++ {
-				if out, err = runner.Run(runner.Spec{Trace: tr, Policy: pol}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			out, base := ablationRun(b, scenario.Spec{Trace: tr, Policy: scenario.PolicyConfig{
+				BSLDThr: 2, WQThr: core.NoWQLimit, Boost: boost, BoostWQ: 16,
+			}})
 			b.ReportMetric(100*out.Results.CompEnergy/base.Results.CompEnergy, "energy-%")
 			b.ReportMetric(out.Results.AvgWait, "avg-wait-s")
 		})
@@ -981,20 +1006,10 @@ func BenchmarkAblationDynamicBoost(b *testing.B) {
 // setting (DESIGN.md).
 func BenchmarkAblationWQCounting(b *testing.B) {
 	tr := benchTrace(b, "CTC", ablationJobs)
-	base, err := runner.Run(runner.Spec{Trace: tr})
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, wq := range []int{0, 1} {
 		b.Run(fmt.Sprintf("wq=%d", wq), func(b *testing.B) {
-			pol := ablationPolicy(b, core.Params{BSLDThreshold: 2, WQThreshold: wq})
-			var out runner.Outcome
-			var err error
-			for i := 0; i < b.N; i++ {
-				if out, err = runner.Run(runner.Spec{Trace: tr, Policy: pol}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			out, base := ablationRun(b, scenario.Spec{Trace: tr,
+				Policy: scenario.PolicyConfig{BSLDThr: 2, WQThr: wq}})
 			b.ReportMetric(100*out.Results.CompEnergy/base.Results.CompEnergy, "energy-%")
 			b.ReportMetric(float64(out.Results.ReducedJobs), "reduced-jobs")
 		})
@@ -1002,13 +1017,10 @@ func BenchmarkAblationWQCounting(b *testing.B) {
 }
 
 // BenchmarkAblationGearSet restricts the gear set to its upper half,
-// quantifying how much of the savings comes from the deepest gears.
+// quantifying how much of the savings comes from the deepest gears. Both
+// sets share the top gear, so the no-DVFS baselines are the same run.
 func BenchmarkAblationGearSet(b *testing.B) {
 	tr := benchTrace(b, "LLNLAtlas", ablationJobs)
-	base, err := runner.Run(runner.Spec{Trace: tr})
-	if err != nil {
-		b.Fatal(err)
-	}
 	full := dvfs.PaperGearSet()
 	for _, tc := range []struct {
 		name  string
@@ -1018,17 +1030,8 @@ func BenchmarkAblationGearSet(b *testing.B) {
 		{"top-three", full.AtOrAbove(1.7)},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			pol, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit},
-				tc.gears, dvfs.NewTimeModel(runner.DefaultBeta, tc.gears))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var out runner.Outcome
-			for i := 0; i < b.N; i++ {
-				if out, err = runner.Run(runner.Spec{Trace: tr, Policy: pol, Gears: tc.gears}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			out, base := ablationRun(b, scenario.Spec{Trace: tr, Gears: tc.gears,
+				Policy: scenario.PolicyConfig{BSLDThr: 2, WQThr: core.NoWQLimit}})
 			b.ReportMetric(100*out.Results.CompEnergy/base.Results.CompEnergy, "energy-%")
 		})
 	}
@@ -1039,23 +1042,10 @@ func BenchmarkAblationGearSet(b *testing.B) {
 // algorithm "can be applied with any parallel job scheduling policy".
 func BenchmarkAblationBasePolicy(b *testing.B) {
 	tr := benchTrace(b, "CTC", ablationJobs)
-	for _, tc := range []struct {
-		name    string
-		variant sched.Variant
-	}{
-		{"easy", sched.EASY},
-		{"fcfs", sched.FCFS},
-		{"conservative", sched.Conservative},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			pol := ablationPolicy(b, core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-			var out runner.Outcome
-			var err error
-			for i := 0; i < b.N; i++ {
-				if out, err = runner.Run(runner.Spec{Trace: tr, Policy: pol, Variant: tc.variant}); err != nil {
-					b.Fatal(err)
-				}
-			}
+	for _, variant := range []string{"easy", "fcfs", "conservative"} {
+		b.Run(variant, func(b *testing.B) {
+			out, _ := ablationRun(b, scenario.Spec{Trace: tr, Variant: variant,
+				Policy: scenario.PolicyConfig{BSLDThr: 2, WQThr: core.NoWQLimit}})
 			b.ReportMetric(out.Results.AvgBSLD, "avg-BSLD")
 			b.ReportMetric(out.Results.AvgWait, "avg-wait-s")
 		})

@@ -24,130 +24,195 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
 	"repro/internal/altpolicy"
-	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/dvfs"
 	"repro/internal/metrics"
-	"repro/internal/runner"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/wgen"
 	"repro/internal/workload"
 )
 
 func main() {
+	os.Exit(bsldsim(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// bsldsim runs the command on its arguments, writing the report to
+// stdout and diagnostics to stderr, and returns the process exit code.
+func bsldsim(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bsldsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		wl      = flag.String("workload", "CTC", "built-in workload model (CTC, SDSC, SDSCBlue, LLNLThunder, LLNLAtlas, Million)")
-		swf     = flag.String("swf", "", "read this SWF trace instead of a built-in model")
-		cpus    = flag.Int("cpus", 0, "system size for -swf traces without a MaxProcs header; 0 = from header")
-		jobs    = flag.Int("jobs", 0, "trace segment length for built-in models; 0 = the model's native length (5000 for the paper presets, 1000000 for Million)")
-		dropF   = flag.Bool("drop-failed", false, "drop failed jobs (SWF status 0) when reading -swf traces")
-		bsldThr = flag.Float64("bsld", 2, "BSLDthreshold of the frequency assignment algorithm")
-		wqThr   = flag.Int("wq", 0, "WQthreshold (jobs waiting); -1 = no limit")
-		size    = flag.Float64("size", 1.0, "system size factor (1.2 = 20% enlarged)")
-		beta    = flag.Float64("beta", runner.DefaultBeta, "β of the execution time model")
-		variant = flag.String("policy", "easy", "base scheduling policy: easy, fcfs, conservative")
-		sel     = flag.String("select", "firstfit", "resource selection policy: firstfit, contiguous, nextfit")
-		stream  = flag.Bool("stream", false, "stream the workload instead of materializing it: presets generate lazily, SWF files are read incrementally — O(running jobs) memory at any trace length")
-		noDVFS  = flag.Bool("nodvfs", false, "disable frequency scaling (baseline)")
-		strict  = flag.Bool("strict-backfill", false, "literal Figure 2 semantics: BSLD check gates backfills even at Ftop")
-		boost   = flag.Int("boost", -1, "dynamic boost extension: raise running reduced jobs to Ftop when more than N jobs wait; -1 disables")
-		capFrac = flag.Float64("cap-frac", 0, "power cap as a fraction of peak machine draw, in (0,1]; 0 disables the cap controller")
-		capKp   = flag.Float64("cap-kp", 0, "proportional gain of the cap controller (0 = default)")
-		capKi   = flag.Float64("cap-ki", 0, "integral gain of the cap controller (0 = default)")
-		capEco  = flag.Bool("cap-eco", false, "cap controller only throttles jobs carrying the eco opt-in flag")
-		ecoU    = flag.String("eco-users", "", "comma-separated SWF user IDs whose jobs opt into eco mode (\"*\" = all)")
-		verbose = flag.Bool("v", false, "print per-gear breakdown")
-		asJSON  = flag.Bool("json", false, "emit the report as JSON for downstream tooling")
-		cfgPath = flag.String("config", "", "JSON configuration file declaring platform, policy, machine and workload (overrides the other flags)")
-		dump    = flag.String("dump", "", "write per-job records (submit, wait, gear, BSLD, energy) to this CSV file")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProf = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
+		wl      = fs.String("workload", "CTC", "built-in workload model (CTC, SDSC, SDSCBlue, LLNLThunder, LLNLAtlas, Million)")
+		swf     = fs.String("swf", "", "read this SWF trace instead of a built-in model")
+		cpus    = fs.Int("cpus", 0, "system size for -swf traces without a MaxProcs header; 0 = from header")
+		jobs    = fs.Int("jobs", 0, "trace segment length for built-in models; 0 = the model's native length (5000 for the paper presets, 1000000 for Million)")
+		dropF   = fs.Bool("drop-failed", false, "drop failed jobs (SWF status 0) when reading -swf traces")
+		bsldThr = fs.Float64("bsld", 2, "BSLDthreshold of the frequency assignment algorithm")
+		wqThr   = fs.Int("wq", 0, "WQthreshold (jobs waiting); -1 = no limit")
+		size    = fs.Float64("size", 1.0, "system size factor (1.2 = 20% enlarged)")
+		beta    = fs.Float64("beta", scenario.DefaultBeta, "β of the execution time model")
+		variant = fs.String("policy", "easy", "base scheduling policy: easy, fcfs, conservative")
+		sel     = fs.String("select", "firstfit", "resource selection policy: firstfit, contiguous, nextfit")
+		stream  = fs.Bool("stream", false, "stream the workload instead of materializing it: presets generate lazily, SWF files are read incrementally — O(running jobs) memory at any trace length")
+		noDVFS  = fs.Bool("nodvfs", false, "disable frequency scaling (baseline)")
+		strict  = fs.Bool("strict-backfill", false, "literal Figure 2 semantics: BSLD check gates backfills even at Ftop")
+		boost   = fs.Int("boost", -1, "dynamic boost extension: raise running reduced jobs to Ftop when more than N jobs wait; -1 disables")
+		capFrac = fs.Float64("cap-frac", 0, "power cap as a fraction of peak machine draw, in (0,1]; 0 disables the cap controller")
+		capKp   = fs.Float64("cap-kp", 0, "proportional gain of the cap controller (0 = default)")
+		capKi   = fs.Float64("cap-ki", 0, "integral gain of the cap controller (0 = default)")
+		capEco  = fs.Bool("cap-eco", false, "cap controller only throttles jobs carrying the eco opt-in flag")
+		ecoU    = fs.String("eco-users", "", "comma-separated SWF user IDs whose jobs opt into eco mode (\"*\" = all)")
+		verbose = fs.Bool("v", false, "print per-gear breakdown")
+		asJSON  = fs.Bool("json", false, "emit the report as JSON for downstream tooling")
+		cfgPath = fs.String("config", "", "JSON configuration file declaring platform, policy, machine and workload (overrides the other flags)")
+		dump    = fs.String("dump", "", "write per-job records (submit, wait, gear, BSLD, energy) to this CSV file")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProf = fs.String("memprofile", "", "write an end-of-run heap profile to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "bsldsim:", err)
+		return 1
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bsldsim:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bsldsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(err)
+		}
 		defer pprof.StopCPUProfile()
 	}
+	var spec scenario.Spec
 	var err error
 	if *cfgPath != "" {
-		err = runConfig(*cfgPath, *verbose, *asJSON, *dump)
+		spec, err = configSpec(*cfgPath)
 	} else {
 		capCfg := scenario.ControllerConfig{CapFrac: *capFrac, Kp: *capKp, Ki: *capKi, EcoOnly: *capEco}
-		err = run(*wl, *swf, *cpus, *jobs, *bsldThr, *wqThr, *size, *beta, *variant, *sel, *stream, *noDVFS, *strict, *dropF, *boost, capCfg, *ecoU, *verbose, *asJSON, *dump)
+		spec, err = flagSpec(*wl, *swf, *cpus, *jobs, *bsldThr, *wqThr, *size, *beta, *variant, *sel, *stream, *noDVFS, *strict, *dropF, *boost, capCfg, *ecoU)
+	}
+	if err == nil {
+		spec.KeepCollector = *verbose || *dump != ""
+		err = run(spec, *verbose, *asJSON, *dump, stdout)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bsldsim:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *memProf != "" {
 		runtime.GC() // settle the heap so the profile shows retained memory
 		f, err := os.Create(*memProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bsldsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bsldsim:", err)
-			os.Exit(1)
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		f.Close()
+		if err != nil {
+			return fail(err)
+		}
 	}
+	return 0
 }
 
-// runConfig executes a simulation declared in a configuration file.
-func runConfig(path string, verbose, asJSON bool, dump string) error {
+// configSpec reads the run a configuration file declares.
+func configSpec(path string) (scenario.Spec, error) {
 	f, err := config.Load(path)
 	if err != nil {
-		return err
+		return scenario.Spec{}, err
 	}
-	spec, err := f.BuildSpec()
+	return f.BuildSpec()
+}
+
+// flagSpec assembles the run the command-line flags describe. The
+// policy is built with the run's own gears and β, so it predicts with
+// the dilation the simulation applies.
+func flagSpec(wl, swf string, cpus, jobs int, bsldThr float64, wqThr int, size, beta float64,
+	variant, sel string, stream, noDVFS, strict, dropFailed bool, boost int,
+	capCfg scenario.ControllerConfig, ecoUsers string) (scenario.Spec, error) {
+	spec := scenario.Spec{
+		SizeFactor: size,
+		Variant:    strings.ToLower(variant),
+		Selection:  strings.ToLower(sel),
+		Beta:       &beta,
+		Controller: capCfg,
+	}
+	filter := workload.SWFFilter{DropFailed: dropFailed, EcoUsers: ecoUsers}
+	var err error
+	switch {
+	case stream && swf != "":
+		// An explicit -swf path is loaded as a file whatever its
+		// extension; otherwise wgen's shared name resolution applies.
+		spec.Source, err = workload.OpenSWFSource(swf, cpus, filter)
+	case stream:
+		spec.Source, err = wgen.ResolveSource(wl, cpus, jobs, filter)
+	case swf != "":
+		spec.Trace, err = workload.ParseSWFFile(swf, cpus, filter)
+	default:
+		spec.Trace, err = wgen.ResolveTrace(wl, cpus, jobs, filter)
+	}
+	if err != nil || noDVFS {
+		return spec, err
+	}
+	gears := dvfs.PaperGearSet()
+	wq := wqThr
+	if wq < 0 {
+		wq = core.NoWQLimit
+	}
+	spec.GearPolicy, err = core.NewPolicy(core.Params{
+		BSLDThreshold:      bsldThr,
+		WQThreshold:        wq,
+		StrictBackfillBSLD: strict,
+		Boost:              boost >= 0,
+		BoostWQ:            max(boost, 0),
+	}, gears, dvfs.NewTimeModel(beta, gears))
+	return spec, err
+}
+
+// run compiles the spec once and executes it with its policy and as the
+// no-DVFS baseline; the baseline leg reuses the compiled workload (a
+// shared source is rewound between the two sequential executions).
+func run(spec scenario.Spec, verbose, asJSON bool, dump string, w io.Writer) error {
+	sc, err := scenario.Compile(spec)
 	if err != nil {
 		return err
 	}
-	spec.KeepCollector = verbose || dump != ""
-	// Compile once; the policy and baseline legs share the compiled
-	// workload arena.
-	sc, err := runner.Compile(spec)
+	out, base, err := sc.ExecutePair()
 	if err != nil {
 		return err
-	}
-	out, baseOut, err := sc.ExecutePair()
-	if err != nil {
-		return err
-	}
-	sizeFactor := spec.SizeFactor
-	if sizeFactor == 0 {
-		sizeFactor = 1
 	}
 	if dump != "" {
 		if err := dumpRecords(dump, out); err != nil {
 			return err
 		}
 	}
-	return report(spec.Trace.Name, sc.Hash(), out, baseOut, spec.Variant, spec.Selection, sizeFactor, verbose, asJSON)
+	size := spec.SizeFactor
+	if size == 0 {
+		size = 1
+	}
+	return report(w, sc, out, base, size, verbose, asJSON)
 }
 
 // dumpRecords writes the per-job outcomes for offline analysis.
-func dumpRecords(path string, out runner.Outcome) error {
+func dumpRecords(path string, out scenario.Outcome) error {
 	if out.Collector == nil {
 		return fmt.Errorf("internal: records not collected")
 	}
@@ -202,7 +267,7 @@ type capStats struct {
 
 // capReport extracts the controller statistics when the outcome carries a
 // power-cap controller (nil otherwise).
-func capReport(out runner.Outcome) *capStats {
+func capReport(out scenario.Outcome) *capStats {
 	pc, ok := out.Controller.(*altpolicy.PowerCap)
 	if !ok {
 		return nil
@@ -215,92 +280,15 @@ func capReport(out runner.Outcome) *capStats {
 	}
 }
 
-func run(wl, swf string, cpus, jobs int, bsldThr float64, wqThr int, size, beta float64,
-	variant, sel string, stream, noDVFS, strict, dropFailed bool, boost int,
-	capCfg scenario.ControllerConfig, ecoUsers string, verbose, asJSON bool, dump string) error {
-	var (
-		tr   *workload.Trace
-		src  workload.JobSource
-		name string
-		err  error
-	)
-	if stream {
-		src, err = loadSource(wl, swf, cpus, jobs, dropFailed, ecoUsers)
-		if err != nil {
-			return err
-		}
-		name = src.Name()
-	} else {
-		tr, err = loadTrace(wl, swf, cpus, jobs, dropFailed, ecoUsers)
-		if err != nil {
-			return err
-		}
-		name = tr.Name
-	}
-	var v sched.Variant
-	switch strings.ToLower(variant) {
-	case "easy":
-		v = sched.EASY
-	case "fcfs":
-		v = sched.FCFS
-	case "conservative", "cons":
-		v = sched.Conservative
-	default:
-		return fmt.Errorf("unknown policy %q", variant)
-	}
-	selection, err := cluster.ParseSelection(strings.ToLower(sel))
-	if err != nil {
-		return err
-	}
-
-	spec := runner.Spec{Trace: tr, Source: src, SizeFactor: size, Variant: v, Beta: beta,
-		Selection: selection, Controller: capCfg, KeepCollector: verbose || dump != ""}
-	if !noDVFS {
-		gears := dvfs.PaperGearSet()
-		wq := wqThr
-		if wq < 0 {
-			wq = core.NoWQLimit
-		}
-		pol, err := core.NewPolicy(core.Params{
-			BSLDThreshold:      bsldThr,
-			WQThreshold:        wq,
-			StrictBackfillBSLD: strict,
-			Boost:              boost >= 0,
-			BoostWQ:            max(boost, 0),
-		}, gears, dvfs.NewTimeModel(beta, gears))
-		if err != nil {
-			return err
-		}
-		spec.Policy = pol
-	}
-	// Compile the spec once into an immutable scenario; the baseline leg
-	// reuses the compiled workload (a shared source is rewound between the
-	// two sequential executions).
-	sc, err := runner.Compile(spec)
-	if err != nil {
-		return err
-	}
-	out, base, err := sc.ExecutePair()
-	if err != nil {
-		return err
-	}
-	if dump != "" {
-		if err := dumpRecords(dump, out); err != nil {
-			return err
-		}
-	}
-	return report(name, sc.Hash(), out, base, v, selection, size, verbose, asJSON)
-}
-
 // report renders the outcome in either human or JSON form.
-func report(name, hash string, out, base runner.Outcome, v sched.Variant,
-	selection cluster.Selection, size float64, verbose, asJSON bool) error {
+func report(w io.Writer, sc *scenario.Scenario, out, base scenario.Outcome,
+	size float64, verbose, asJSON bool) error {
 	r := out.Results
 	if asJSON {
 		rep := jsonReport{
-			Workload: name, ScenarioHash: hash,
+			Workload: sc.Workload(), ScenarioHash: sc.Hash(),
 			Jobs: r.Jobs, CPUs: out.CPUs, SizeFactor: size,
-			Policy: out.Policy, Variant: v.String(),
+			Policy: out.Policy, Variant: sc.Variant().String(),
 			AvgBSLD: r.AvgBSLD, AvgWaitSec: r.AvgWait, MaxWaitSec: r.MaxWait,
 			ReducedJobs: r.ReducedJobs, Utilization: r.Utilization, WindowSec: r.Window,
 			CompEnergy: r.CompEnergy, TotalEnergyLow: r.TotalEnergyLow,
@@ -308,24 +296,24 @@ func report(name, hash string, out, base runner.Outcome, v sched.Variant,
 			NormTotalLow: r.TotalEnergyLow / base.Results.TotalEnergyLow,
 			PowerCap:     capReport(out),
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
-	fmt.Printf("workload      %s (%d jobs, %d CPUs, size ×%.2f)\n", name, r.Jobs, out.CPUs, size)
-	fmt.Printf("policy        %s over %s\n", out.Policy, v)
-	fmt.Printf("avg BSLD      %.2f\n", r.AvgBSLD)
-	fmt.Printf("avg wait      %.0f s   (max %.0f s)\n", r.AvgWait, r.MaxWait)
-	fmt.Printf("reduced jobs  %d / %d\n", r.ReducedJobs, r.Jobs)
-	fmt.Printf("utilization   %.3f over %.0f s window\n", r.Utilization, r.Window)
-	fmt.Printf("placement     %s selection, %.2f mean contiguous runs per job\n", selection, r.MeanAllocRuns)
-	fmt.Printf("energy        computational %.4g   total(idle=low) %.4g\n", r.CompEnergy, r.TotalEnergyLow)
-	fmt.Printf("normalized    computational %.2f%%   total(idle=low) %.2f%%   (vs no-DVFS baseline)\n",
+	fmt.Fprintf(w, "workload      %s (%d jobs, %d CPUs, size ×%.2f)\n", sc.Workload(), r.Jobs, out.CPUs, size)
+	fmt.Fprintf(w, "policy        %s over %s\n", out.Policy, sc.Variant())
+	fmt.Fprintf(w, "avg BSLD      %.2f\n", r.AvgBSLD)
+	fmt.Fprintf(w, "avg wait      %.0f s   (max %.0f s)\n", r.AvgWait, r.MaxWait)
+	fmt.Fprintf(w, "reduced jobs  %d / %d\n", r.ReducedJobs, r.Jobs)
+	fmt.Fprintf(w, "utilization   %.3f over %.0f s window\n", r.Utilization, r.Window)
+	fmt.Fprintf(w, "placement     %s selection, %.2f mean contiguous runs per job\n", sc.Selection(), r.MeanAllocRuns)
+	fmt.Fprintf(w, "energy        computational %.4g   total(idle=low) %.4g\n", r.CompEnergy, r.TotalEnergyLow)
+	fmt.Fprintf(w, "normalized    computational %.2f%%   total(idle=low) %.2f%%   (vs no-DVFS baseline)\n",
 		100*r.CompEnergy/base.Results.CompEnergy, 100*r.TotalEnergyLow/base.Results.TotalEnergyLow)
 	if cs := capReport(out); cs != nil {
-		fmt.Printf("power cap     %.4g   avg draw %.4g (%.1f%% of cap)   peak %.4g\n",
+		fmt.Fprintf(w, "power cap     %.4g   avg draw %.4g (%.1f%% of cap)   peak %.4g\n",
 			cs.Cap, cs.AvgDraw, 100*cs.AvgDraw/cs.Cap, cs.PeakDraw)
-		fmt.Printf("cap tracking  over cap %.2f%% of time   over-cap energy %.4g   %d regears over %d passes\n",
+		fmt.Fprintf(w, "cap tracking  over cap %.2f%% of time   over-cap energy %.4g   %d regears over %d passes\n",
 			100*cs.OverFrac, cs.OverEnergy, cs.Actuations, cs.Passes)
 	}
 
@@ -344,10 +332,10 @@ func report(name, hash string, out, base runner.Outcome, v sched.Variant,
 			a.n++
 			a.energy += rec.Energy
 		}
-		fmt.Println("per final gear:")
+		fmt.Fprintln(w, "per final gear:")
 		for _, g := range dvfs.PaperGearSet() {
 			if a := byGear[g]; a != nil {
-				fmt.Printf("  %-14s %5d jobs  energy %.4g\n", g, a.n, a.energy)
+				fmt.Fprintf(w, "  %-14s %5d jobs  energy %.4g\n", g, a.n, a.energy)
 			}
 		}
 		wp, err := out.Collector.WaitPercentiles()
@@ -358,12 +346,12 @@ func report(name, hash string, out, base runner.Outcome, v sched.Variant,
 		if err != nil {
 			return err
 		}
-		fmt.Printf("wait percentiles (s): p50 %.0f  p90 %.0f  p95 %.0f  p99 %.0f  max %.0f\n",
+		fmt.Fprintf(w, "wait percentiles (s): p50 %.0f  p90 %.0f  p95 %.0f  p99 %.0f  max %.0f\n",
 			wp.P50, wp.P90, wp.P95, wp.P99, wp.Max)
-		fmt.Printf("BSLD percentiles:     p50 %.2f  p90 %.2f  p95 %.2f  p99 %.2f  max %.2f\n",
+		fmt.Fprintf(w, "BSLD percentiles:     p50 %.2f  p90 %.2f  p95 %.2f  p99 %.2f  max %.2f\n",
 			bp.P50, bp.P90, bp.P95, bp.P99, bp.Max)
-		fmt.Printf("energy-delay product: %.4g\n", r.EnergyDelayProduct())
-		fmt.Println("per job class:")
+		fmt.Fprintf(w, "energy-delay product: %.4g\n", r.EnergyDelayProduct())
+		fmt.Fprintln(w, "per job class:")
 		bd, err := out.Collector.Breakdown(out.CPUs)
 		if err != nil {
 			return err
@@ -373,30 +361,9 @@ func report(name, hash string, out, base runner.Outcome, v sched.Variant,
 			if !ok {
 				continue
 			}
-			fmt.Printf("  %-12s %5d jobs  BSLD %6.2f  wait %7.0f s  energy share %5.1f%%  reduced %d\n",
+			fmt.Fprintf(w, "  %-12s %5d jobs  BSLD %6.2f  wait %7.0f s  energy share %5.1f%%  reduced %d\n",
 				cl, st.Jobs, st.AvgBSLD, st.AvgWait, 100*st.EnergyShare, st.Reduced)
 		}
 	}
 	return nil
-}
-
-// loadSource resolves the workload as a streaming source: presets
-// generate jobs lazily, SWF files are read incrementally. Either way a
-// simulation holds O(running jobs) memory instead of the whole trace.
-// An explicit -swf path is loaded as a file whatever its extension;
-// otherwise wgen's shared name resolution applies.
-func loadSource(wl, swf string, cpus, jobs int, dropFailed bool, ecoUsers string) (workload.JobSource, error) {
-	filter := workload.SWFFilter{DropFailed: dropFailed, EcoUsers: ecoUsers}
-	if swf != "" {
-		return workload.OpenSWFSource(swf, cpus, filter)
-	}
-	return wgen.ResolveSource(wl, cpus, jobs, filter)
-}
-
-func loadTrace(wl, swf string, cpus, jobs int, dropFailed bool, ecoUsers string) (*workload.Trace, error) {
-	filter := workload.SWFFilter{DropFailed: dropFailed, EcoUsers: ecoUsers}
-	if swf != "" {
-		return workload.ParseSWFFile(swf, cpus, filter)
-	}
-	return wgen.ResolveTrace(wl, cpus, jobs, filter)
 }

@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/wgen"
 )
@@ -17,7 +18,7 @@ import (
 func main() {
 	presets := wgen.Presets()
 	grid := sweep.Grid{
-		Policies: []sweep.PolicyConfig{
+		Policies: []scenario.PolicyConfig{
 			{}, // no-DVFS baseline, the normalization denominator
 			{BSLDThr: 1.5, WQThr: 0},
 			{BSLDThr: 2, WQThr: 4},

@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/wgen"
 	"repro/internal/workload"
@@ -150,11 +151,11 @@ func buildGrid(gridPath, traces, bsld, wq, sizes, cpus, variants, selections, or
 	}
 	for _, thr := range thresholds {
 		if thr == 0 {
-			g.Policies = append(g.Policies, sweep.PolicyConfig{})
+			g.Policies = append(g.Policies, scenario.PolicyConfig{})
 			continue
 		}
 		for _, w := range wqs {
-			g.Policies = append(g.Policies, sweep.PolicyConfig{BSLDThr: thr, WQThr: w})
+			g.Policies = append(g.Policies, scenario.PolicyConfig{BSLDThr: thr, WQThr: w})
 		}
 	}
 	if g.SizeFactors, err = parseFloats(sizes); err != nil {

@@ -28,10 +28,13 @@
 // SHA-256 content hash identifying the run. Compile once, Execute many:
 // N goroutines executing one shared scenario produce bit-identical
 // metrics.Results (stateful gear policies clone per execution through
-// sched.PolicyCloner). runner.Run/BaselinePair remain as thin adapters
-// over Compile+Execute for callers holding resolved objects; sweeps
-// compile grid points through a shared Compiler so arenas dedup across
-// cells; and cmd/schedd serves what-if queries over HTTP with an LRU
+// sched.PolicyCloner). The Spec is the repository's one run description:
+// the CLIs, the examples, the experiment tables and the benchmarks all
+// Compile a Spec and Execute it (ExecutePair adds the no-DVFS baseline
+// on the same machine), callers holding resolved objects pass them
+// through its escape-hatch fields (Trace, Source, GearPolicy,
+// ExtraRecorders); sweeps compile grid points through a shared Compiler
+// so arenas dedup across cells; and cmd/schedd serves what-if queries over HTTP with an LRU
 // result cache keyed by the scenario hash, in-flight coalescing of
 // identical queries, a bounded simulation worker pool and graceful
 // drain on shutdown. See examples/whatif for the pattern end to end.
@@ -87,7 +90,7 @@
 //     workload.SWFSource reads logs incrementally with the same filter
 //     hooks, and combinators (Concat, Repeat, MergeByArrival, Scale,
 //     Filter) compose scenarios without materializing them. The
-//     scheduler (sched.System.SimulateSource, runner.Spec.Source) pulls
+//     scheduler (sched.System.SimulateSource, scenario.Spec.Source) pulls
 //     from the cursor, so a ten-million-job replay peaks below 20 MB
 //     where the trace slice alone would cost ~920 MB; sweeps give every
 //     worker an independent source instead of one shared slice.
@@ -108,7 +111,7 @@
 //     scheduler pools RunStates (with their Runs and Phases capacity),
 //     cluster.AllocateInto refills a pooled allocation in place, the
 //     queue backing stays anchored so arrival appends reuse it, and
-//     metrics stream: without runner.Spec.KeepCollector the collector
+//     metrics stream: without scenario.Spec.KeepCollector the collector
 //     folds Results online and holds no per-job records. A 1M-job EASY
 //     replay runs at ~1.3M jobs/s with ~0.12 allocations per job.
 //   - Log-time availability profile: internal/profile bulk-loads the

@@ -18,8 +18,7 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/dvfs"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -32,19 +31,16 @@ func main() {
 	fmt.Printf("trace %q: %d jobs on %d CPUs, %.1f CPU-hours, offered load %.2f\n\n",
 		trace.Name, st.Jobs, trace.CPUs, st.TotalCPUHours, st.Utilization)
 
-	gears := dvfs.PaperGearSet()
-	policy, err := core.NewPolicy(core.Params{
-		BSLDThreshold: 2,
-		WQThreshold:   core.NoWQLimit,
-	}, gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
+	sc, err := scenario.Compile(scenario.Spec{
+		Trace:         trace,
+		Policy:        scenario.PolicyConfig{BSLDThr: 2, WQThr: core.NoWQLimit},
+		KeepCollector: true,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := runner.Run(runner.Spec{Trace: trace, Policy: policy, KeepCollector: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	base, err := runner.Run(runner.Spec{Trace: trace})
+	// The policy run and its no-DVFS baseline on the same machine.
+	out, base, err := sc.ExecutePair()
 	if err != nil {
 		log.Fatal(err)
 	}

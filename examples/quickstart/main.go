@@ -13,9 +13,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/dvfs"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/wgen"
 )
 
@@ -28,31 +26,27 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. The paper's frequency assignment algorithm: run a job at the
-	// lowest gear whose predicted bounded slowdown stays under 2, but
-	// only while at most 16 other jobs wait.
-	gears := dvfs.PaperGearSet()
-	policy, err := core.NewPolicy(core.Params{
-		BSLDThreshold: 2,
-		WQThreshold:   16,
-	}, gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
+	// 2. The run: the paper's frequency assignment algorithm runs a job
+	// at the lowest gear whose predicted bounded slowdown stays under 2,
+	// but only while at most 16 other jobs wait.
+	sc, err := scenario.Compile(scenario.Spec{
+		Trace:  trace,
+		Policy: scenario.PolicyConfig{BSLDThr: 2, WQThr: 16},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// 3. Simulate both schedules on the original 1152-CPU machine.
-	baseline, err := runner.Run(runner.Spec{Trace: trace})
-	if err != nil {
-		log.Fatal(err)
-	}
-	powerAware, err := runner.Run(runner.Spec{Trace: trace, Policy: policy})
+	// 3. Simulate both schedules on the original 1152-CPU machine: with
+	// the policy and as the no-DVFS baseline.
+	powerAware, baseline, err := sc.ExecutePair()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 4. Compare.
 	b, p := baseline.Results, powerAware.Results
-	fmt.Printf("%-22s %12s %12s\n", "", "no DVFS", policy.Name())
+	fmt.Printf("%-22s %12s %12s\n", "", "no DVFS", sc.PolicyName())
 	fmt.Printf("%-22s %12.2f %12.2f\n", "average BSLD", b.AvgBSLD, p.AvgBSLD)
 	fmt.Printf("%-22s %12.0f %12.0f\n", "average wait (s)", b.AvgWait, p.AvgWait)
 	fmt.Printf("%-22s %12d %12d\n", "jobs at reduced freq", b.ReducedJobs, p.ReducedJobs)

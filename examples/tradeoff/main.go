@@ -14,8 +14,7 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/dvfs"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/textplot"
 	"repro/internal/wgen"
 )
@@ -34,13 +33,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, err := runner.Run(runner.Spec{Trace: trace})
+	baseSc, err := scenario.Compile(scenario.Spec{Trace: trace})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	gears := dvfs.PaperGearSet()
-	tm := dvfs.NewTimeModel(runner.DefaultBeta, gears)
+	base, err := baseSc.Execute()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	table := textplot.Table{
 		Title:  fmt.Sprintf("Energy-performance trade-off on %s (%d jobs, %d CPUs)", name, model.Jobs, model.CPUs),
@@ -52,16 +52,19 @@ func main() {
 	for _, thr := range []float64{1.5, 2, 3} {
 		var vals []float64
 		for _, wq := range []int{0, 4, 16, core.NoWQLimit} {
-			pol, err := core.NewPolicy(core.Params{BSLDThreshold: thr, WQThreshold: wq}, gears, tm)
+			sc, err := scenario.Compile(scenario.Spec{
+				Trace:  trace,
+				Policy: scenario.PolicyConfig{BSLDThr: thr, WQThr: wq},
+			})
 			if err != nil {
 				log.Fatal(err)
 			}
-			out, err := runner.Run(runner.Spec{Trace: trace, Policy: pol})
+			out, err := sc.Execute()
 			if err != nil {
 				log.Fatal(err)
 			}
 			r := out.Results
-			table.AddRow(pol.Name(),
+			table.AddRow(sc.PolicyName(),
 				fmt.Sprintf("%.2f%%", 100*r.CompEnergy/base.Results.CompEnergy),
 				fmt.Sprintf("%.2f%%", 100*r.TotalEnergyLow/base.Results.TotalEnergyLow),
 				fmt.Sprintf("%.2f", r.AvgBSLD),

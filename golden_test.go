@@ -13,10 +13,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/dvfs"
 	"repro/internal/experiments"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/wgen"
 )
 
@@ -24,25 +22,31 @@ import (
 // across Go releases but far tighter than any semantic change.
 const goldenTolerance = 1e-10
 
-func goldenRun(t *testing.T, policy bool) runner.Outcome {
+// goldenRun executes the 400-job CTC golden run over the materialized
+// trace, or over a streamed source when stream is set, with or without
+// the paper's policy at (BSLDthr=2, WQthr=16).
+func goldenRun(t *testing.T, policy, stream bool) scenario.Outcome {
 	t.Helper()
 	m := wgen.CTC()
 	m.Jobs = 400
-	tr, err := wgen.Generate(m)
+	var spec scenario.Spec
+	var err error
+	if stream {
+		spec.Source, err = wgen.Stream(m)
+	} else {
+		spec.Trace, err = wgen.Generate(m)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := runner.Spec{Trace: tr}
 	if policy {
-		gears := dvfs.PaperGearSet()
-		pol, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: 16},
-			gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Policy = pol
+		spec.Policy = scenario.PolicyConfig{BSLDThr: 2, WQThr: 16}
 	}
-	out, err := runner.Run(spec)
+	sc, err := scenario.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sc.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +67,7 @@ func approx(t *testing.T, name string, got, want float64) {
 }
 
 func TestGoldenBaselineCTC400(t *testing.T) {
-	r := goldenRun(t, false).Results
+	r := goldenRun(t, false, false).Results
 	approx(t, "AvgBSLD", r.AvgBSLD, 1.05059226123)
 	approx(t, "AvgWait", r.AvgWait, 104.162471004)
 	approx(t, "CompEnergy", r.CompEnergy, 1.08987894797e8)
@@ -73,7 +77,7 @@ func TestGoldenBaselineCTC400(t *testing.T) {
 }
 
 func TestGoldenPolicyCTC400(t *testing.T) {
-	r := goldenRun(t, true).Results
+	r := goldenRun(t, true, false).Results
 	approx(t, "AvgBSLD", r.AvgBSLD, 2.16077057902)
 	approx(t, "AvgWait", r.AvgWait, 1243.55565344)
 	approx(t, "CompEnergy", r.CompEnergy, 7.10142596357e7)
@@ -83,33 +87,14 @@ func TestGoldenPolicyCTC400(t *testing.T) {
 }
 
 // TestGoldenStreamingPipeline replays the golden runs through the
-// streaming workload pipeline (wgen.Stream → runner.Spec.Source) and
+// streaming workload pipeline (wgen.Stream → scenario.Spec.Source) and
 // requires BIT-identical Results — not just within tolerance — against
 // the materialized path: streaming is a memory refactor, never a
 // semantic one.
 func TestGoldenStreamingPipeline(t *testing.T) {
 	for _, policy := range []bool{false, true} {
-		want := goldenRun(t, policy)
-		m := wgen.CTC()
-		m.Jobs = 400
-		src, err := wgen.Stream(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := runner.Spec{Source: src}
-		if policy {
-			gears := dvfs.PaperGearSet()
-			pol, err := core.NewPolicy(core.Params{BSLDThreshold: 2, WQThreshold: 16},
-				gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec.Policy = pol
-		}
-		got, err := runner.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := goldenRun(t, policy, false)
+		got := goldenRun(t, policy, true)
 		if got.Results != want.Results {
 			t.Errorf("policy=%t: streamed Results differ from materialized:\n%+v\n%+v",
 				policy, got.Results, want.Results)
@@ -224,7 +209,11 @@ func TestGoldenAllPresets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := runner.Run(runner.Spec{Trace: tr})
+		sc, err := scenario.Compile(scenario.Spec{Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := sc.Execute()
 		if err != nil {
 			t.Fatal(err)
 		}

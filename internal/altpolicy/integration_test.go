@@ -1,6 +1,6 @@
 // Integration tests live in an external package: they drive the policies
-// through the runner/scenario layers, which import altpolicy — an
-// in-package test would close that cycle.
+// through the scenario layer, which imports altpolicy — an in-package
+// test would close that cycle.
 package altpolicy_test
 
 import (
@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/altpolicy"
 	"repro/internal/dvfs"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/wgen"
 	"repro/internal/workload"
@@ -26,11 +25,11 @@ func TestUtilizationDrivenEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := runner.Run(runner.Spec{Trace: tr})
+	sc, err := scenario.Compile(scenario.Spec{Trace: tr, GearPolicy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := runner.Run(runner.Spec{Trace: tr, Policy: pol})
+	out, base, err := sc.ExecutePair()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,29 +42,34 @@ func TestUtilizationDrivenEndToEnd(t *testing.T) {
 	}
 }
 
-// The data-plane path: a ControllerConfig on the runner spec compiles
-// into a live power-cap controller, the outcome exposes the bound
-// instance for its report, and the capped run trades BSLD for power.
-func TestPowerCapThroughRunner(t *testing.T) {
+// The data-plane path: a ControllerConfig on a scenario spec over a
+// materialized trace compiles into a live power-cap controller, the
+// outcome exposes the bound instance for its report, and the capped run
+// trades BSLD for power.
+func TestPowerCapEndToEnd(t *testing.T) {
 	m := wgen.LLNLThunder()
 	m.Jobs = 500
 	tr, err := wgen.Generate(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := runner.Run(runner.Spec{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free.Controller != nil {
-		t.Fatalf("controller-free run exposed a controller: %v", free.Controller)
-	}
-	capped, err := runner.Run(runner.Spec{
+	sc, err := scenario.Compile(scenario.Spec{
 		Trace:      tr,
 		Controller: scenario.ControllerConfig{CapFrac: 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	capped, err := sc.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	free, err := sc.WithoutController().Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if free.Controller != nil {
+		t.Fatalf("controller-free run exposed a controller: %v", free.Controller)
 	}
 	pc, ok := capped.Controller.(*altpolicy.PowerCap)
 	if !ok {
@@ -153,18 +157,18 @@ func TestControllerConfigHashAndNeutrality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := runner.Compile(runner.Spec{Trace: tr})
+	plain, err := scenario.Compile(scenario.Spec{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, err := runner.Compile(runner.Spec{Trace: tr, Controller: scenario.ControllerConfig{}})
+	zero, err := scenario.Compile(scenario.Spec{Trace: tr, Controller: scenario.ControllerConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Hash() != zero.Hash() {
 		t.Errorf("zero controller config changed the hash: %s vs %s", plain.Hash(), zero.Hash())
 	}
-	capped, err := runner.Compile(runner.Spec{Trace: tr, Controller: scenario.ControllerConfig{CapFrac: 0.7}})
+	capped, err := scenario.Compile(scenario.Spec{Trace: tr, Controller: scenario.ControllerConfig{CapFrac: 0.7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +176,7 @@ func TestControllerConfigHashAndNeutrality(t *testing.T) {
 		t.Error("capped scenario hashes identically to uncapped")
 	}
 	// Explicit default gains describe the same scenario as omitted ones.
-	explicit, err := runner.Compile(runner.Spec{Trace: tr, Controller: scenario.ControllerConfig{
+	explicit, err := scenario.Compile(scenario.Spec{Trace: tr, Controller: scenario.ControllerConfig{
 		CapFrac: 0.7, Kp: altpolicy.DefaultKp, Ki: altpolicy.DefaultKi,
 	}})
 	if err != nil {

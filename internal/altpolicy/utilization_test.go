@@ -79,7 +79,7 @@ func (c *gearCapture) JobStarted(rs *sched.RunState, now float64) {
 func (c *gearCapture) JobFinished(rs *sched.RunState, now float64) {}
 
 // Regression: using the policy without Bind (anything that sidesteps the
-// sched.New binder hook, e.g. hand-rolled runner wiring) used to crash
+// sched.New binder hook, e.g. hand-rolled scheduler wiring) used to crash
 // with a bare nil dereference mid-run. It must fail fast with a message
 // that names the fix.
 func TestUtilizationDrivenWithoutBindFailsFast(t *testing.T) {

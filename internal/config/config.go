@@ -3,7 +3,7 @@
 // adjustable in configuration files" (§4); this package is that facility:
 // gear sets, power-model constants, β, the policy thresholds, the machine
 // and the workload can all be declared in one document and turned into a
-// ready runner.Spec.
+// ready scenario.Spec.
 package config
 
 import (
@@ -13,11 +13,9 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dvfs"
-	"repro/internal/runner"
-	"repro/internal/sched"
+	"repro/internal/scenario"
 	"repro/internal/wgen"
 	"repro/internal/workload"
 )
@@ -150,15 +148,16 @@ func Parse(r io.Reader) (*File, error) {
 	return &f, nil
 }
 
-// BuildSpec assembles the runner.Spec (and the trace inside it) the
-// document describes.
-func (f *File) BuildSpec() (runner.Spec, error) {
-	spec := runner.Spec{}
+// BuildSpec assembles the scenario.Spec (and the trace inside it) the
+// document describes. Scheduler, selection and order names are checked
+// when the spec is compiled.
+func (f *File) BuildSpec() (scenario.Spec, error) {
+	spec := scenario.Spec{}
 
 	// Platform.
 	gears := dvfs.PaperGearSet()
 	pm := dvfs.PaperPowerModel()
-	beta := runner.DefaultBeta
+	beta := scenario.DefaultBeta
 	if p := f.Platform; p != nil {
 		if len(p.Gears) > 0 {
 			gears = nil
@@ -189,7 +188,7 @@ func (f *File) BuildSpec() (runner.Spec, error) {
 	}
 	spec.Gears = gears
 	spec.PowerModel = pm
-	spec.Beta = beta
+	spec.Beta = &beta
 
 	// Workload.
 	wl := f.Workload
@@ -235,37 +234,19 @@ func (f *File) BuildSpec() (runner.Spec, error) {
 	if m := f.Machine; m != nil {
 		spec.CPUs = m.CPUs
 		spec.SizeFactor = m.SizeFactor
-		switch strings.ToLower(m.Scheduler) {
-		case "", "easy":
-			spec.Variant = sched.EASY
-		case "fcfs":
-			spec.Variant = sched.FCFS
-		case "conservative", "cons":
-			spec.Variant = sched.Conservative
-		default:
-			return spec, fmt.Errorf("config: unknown scheduler %q", m.Scheduler)
-		}
-		sel, err := cluster.ParseSelection(strings.ToLower(m.Selection))
-		if err != nil {
-			return spec, err
-		}
-		spec.Selection = sel
-		switch strings.ToLower(m.Order) {
-		case "", "fcfs":
-			spec.Order = sched.FCFSOrder
-		case "sjf":
-			spec.Order = sched.SJFOrder
-		default:
-			return spec, fmt.Errorf("config: unknown queue order %q", m.Order)
-		}
-		if m.Reservations < 0 {
-			return spec, fmt.Errorf("config: negative reservations %d", m.Reservations)
-		}
+		spec.Variant = strings.ToLower(m.Scheduler)
+		spec.Selection = strings.ToLower(m.Selection)
+		spec.Order = strings.ToLower(m.Order)
 		spec.Reservations = m.Reservations
 	}
 
-	// Policy.
+	// Policy. Th reaches both the policy's BSLD prediction and the
+	// scenario's metrics, so the run applies one Th throughout.
 	if p := f.Policy; p != nil {
+		if p.ShortJobThreshold != 0 {
+			th := p.ShortJobThreshold
+			spec.ShortJobTh = &th
+		}
 		pol, err := core.NewPolicy(core.Params{
 			BSLDThreshold:      p.BSLDThreshold,
 			WQThreshold:        int(p.WQThreshold),
@@ -277,7 +258,7 @@ func (f *File) BuildSpec() (runner.Spec, error) {
 		if err != nil {
 			return spec, err
 		}
-		spec.Policy = pol
+		spec.GearPolicy = pol
 	}
 	return spec, nil
 }

@@ -6,10 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/runner"
-	"repro/internal/sched"
+	"repro/internal/scenario"
 )
 
 const fullConfig = `{
@@ -64,23 +62,27 @@ func TestBuildSpecFull(t *testing.T) {
 	if len(spec.Gears) != 2 || spec.Gears[1].Freq != 2.0 {
 		t.Errorf("gears = %v", spec.Gears)
 	}
-	if spec.Beta != 0.4 {
+	if spec.Beta == nil || *spec.Beta != 0.4 {
 		t.Errorf("beta = %v", spec.Beta)
 	}
 	if spec.SizeFactor != 1.2 {
 		t.Errorf("size factor = %v", spec.SizeFactor)
 	}
-	if spec.Selection != cluster.ContiguousBestFit {
-		t.Errorf("selection = %v", spec.Selection)
+	if spec.Selection != "contiguous" {
+		t.Errorf("selection = %q", spec.Selection)
 	}
-	if spec.Policy == nil || !strings.Contains(spec.Policy.Name(), "2.5") {
-		t.Errorf("policy = %v", spec.Policy)
+	if spec.GearPolicy == nil || !strings.Contains(spec.GearPolicy.Name(), "2.5") {
+		t.Errorf("policy = %v", spec.GearPolicy)
 	}
 	if len(spec.Trace.Jobs) != 300 || spec.Trace.Name != "SDSCBlue" {
 		t.Errorf("trace = %s/%d jobs", spec.Trace.Name, len(spec.Trace.Jobs))
 	}
 	// The spec must actually run.
-	out, err := runner.Run(spec)
+	sc, err := scenario.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := sc.Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,17 +100,53 @@ func TestBuildSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Policy != nil {
+	if spec.GearPolicy != nil || !spec.Policy.Baseline() {
 		t.Error("policy section omitted but spec has a policy (baseline expected)")
 	}
-	if spec.Variant != sched.EASY {
-		t.Errorf("variant = %v, want EASY", spec.Variant)
+	if spec.Variant != "" {
+		t.Errorf("variant = %q, want the default (easy)", spec.Variant)
 	}
 	if len(spec.Gears) != 6 {
 		t.Errorf("gears = %d, want paper's 6", len(spec.Gears))
 	}
-	if spec.Beta != runner.DefaultBeta {
+	if spec.Beta == nil || *spec.Beta != scenario.DefaultBeta {
 		t.Errorf("beta = %v", spec.Beta)
+	}
+}
+
+// TestBuildSpecShortJobThreshold: the policy section's Th reaches the
+// scenario as well as the policy, so the run predicts and reports BSLD
+// with one Th — the scenario is the data-level one with that Th.
+func TestBuildSpecShortJobThreshold(t *testing.T) {
+	f, err := Parse(strings.NewReader(`{
+	  "policy": {"bsld_threshold": 2, "wq_threshold": "NO", "short_job_threshold": 3600},
+	  "workload": {"preset": "CTC", "jobs": 200}
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := f.BuildSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.ShortJobTh == nil || *spec.ShortJobTh != 3600 {
+		t.Fatalf("ShortJobTh = %v, want 3600", spec.ShortJobTh)
+	}
+	got, err := scenario.Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := 3600.0
+	want, err := scenario.Compile(scenario.Spec{
+		Trace:      spec.Trace,
+		Policy:     scenario.PolicyConfig{BSLDThr: 2, WQThr: core.NoWQLimit},
+		ShortJobTh: &th,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Hash() != want.Hash() {
+		t.Error("config run differs from the data-level Th=3600 scenario")
 	}
 }
 
@@ -168,6 +206,21 @@ func TestWQMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// rejected reports whether the document fails to parse, to build, or to
+// compile: a bad scheduler name, for one, surfaces at compilation.
+func rejected(in string) bool {
+	f, err := Parse(strings.NewReader(in))
+	if err != nil {
+		return true
+	}
+	spec, err := f.BuildSpec()
+	if err != nil {
+		return true
+	}
+	_, err = scenario.Compile(spec)
+	return err != nil
+}
+
 func TestBuildSpecErrors(t *testing.T) {
 	cases := []string{
 		`{"workload": {}}`,                   // no trace source
@@ -178,11 +231,7 @@ func TestBuildSpecErrors(t *testing.T) {
 		`{"policy": {"bsld_threshold": 0.1}, "workload": {"preset":"CTC","jobs":10}}`,
 	}
 	for _, in := range cases {
-		f, err := Parse(strings.NewReader(in))
-		if err != nil {
-			continue // parse-level rejection is fine too
-		}
-		if _, err := f.BuildSpec(); err == nil {
+		if !rejected(in) {
 			t.Errorf("config accepted: %s", in)
 		}
 	}
@@ -238,8 +287,8 @@ func TestBuildSpecOrderAndReservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Order != sched.SJFOrder {
-		t.Errorf("order = %v, want SJF", spec.Order)
+	if spec.Order != "sjf" {
+		t.Errorf("order = %q, want sjf", spec.Order)
 	}
 	if spec.Reservations != 4 {
 		t.Errorf("reservations = %d, want 4", spec.Reservations)
@@ -249,11 +298,7 @@ func TestBuildSpecOrderAndReservations(t *testing.T) {
 		`{"machine": {"reservations": -2}, "workload": {"preset":"CTC","jobs":10}}`,
 	}
 	for _, in := range bad {
-		f, err := Parse(strings.NewReader(in))
-		if err != nil {
-			continue
-		}
-		if _, err := f.BuildSpec(); err == nil {
+		if !rejected(in) {
 			t.Errorf("config accepted: %s", in)
 		}
 	}

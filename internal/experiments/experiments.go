@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dvfs"
+	"repro/internal/scenario"
 	"repro/internal/sweep"
 	"repro/internal/textplot"
 )
@@ -96,7 +97,7 @@ func PaperGrid() sweep.Grid {
 func EnlargedGrid() sweep.Grid {
 	return sweep.Grid{
 		Traces: Workloads(),
-		Policies: []sweep.PolicyConfig{
+		Policies: []scenario.PolicyConfig{
 			{BSLDThr: 2, WQThr: 0},
 			{BSLDThr: 2, WQThr: core.NoWQLimit},
 		},

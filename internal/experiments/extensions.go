@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dvfs"
 	"repro/internal/nodepower"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -27,34 +26,37 @@ import (
 // the rendered rows stay in presentation order.
 
 // extTrace generates the workload at the suite's segment length.
-func extTrace(s *Suite, name string) (runner.Spec, error) {
+func extTrace(s *Suite, name string) (scenario.Spec, error) {
 	tr, err := s.trace(name)
 	if err != nil {
-		return runner.Spec{}, err
+		return scenario.Spec{}, err
 	}
-	return runner.Spec{Trace: tr}, nil
+	return scenario.Spec{Trace: tr}, nil
 }
 
-func extPolicy(params core.Params) (sched.GearPolicy, error) {
-	gears := dvfs.PaperGearSet()
-	return core.NewPolicy(params, gears, dvfs.NewTimeModel(runner.DefaultBeta, gears))
-}
+// bsld2NO is the paper's policy at (BSLDthr=2, WQ=NO), the setting most
+// extension tables hold fixed.
+var bsld2NO = scenario.PolicyConfig{BSLDThr: 2, WQThr: core.NoWQLimit}
 
-// runAll executes the specs across the sweep pool and returns outcomes in
-// spec order; the first per-run failure aborts. Runs execute concurrently,
-// so a stateful gear policy (a sched.PowerController without a clone
-// seam) must not be shared between specs — stateless policies like
-// core.Policy may be.
-func runAll(specs []runner.Spec) ([]runner.Outcome, error) {
+// runAll compiles the specs, executes them across the sweep pool and
+// returns outcomes in spec order; the first compile or per-run failure
+// aborts. Runs execute concurrently, so a stateful gear policy (a
+// sched.PowerController without a clone seam) must not be shared between
+// specs — stateless policies like core.Policy may be.
+func runAll(specs []scenario.Spec) ([]scenario.Outcome, error) {
 	runs := make([]sweep.Run, len(specs))
 	for i, sp := range specs {
-		runs[i] = sweep.Run{Point: sweep.Point{Index: i}, Spec: sp}
+		sc, err := scenario.Compile(sp)
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = sweep.Run{Point: sweep.Point{Index: i}, Scenario: sc}
 	}
 	results, err := (&sweep.Pool{}).Execute(context.Background(), runs)
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]runner.Outcome, len(results))
+	outs := make([]scenario.Outcome, len(results))
 	for i, r := range results {
 		if r.Err != nil {
 			return nil, r.Err
@@ -74,7 +76,7 @@ func ExtBoost(s *Suite) (textplot.Table, error) {
 			"BSLD off", "BSLD on"},
 		Note: "energy = computational, normalized to no-DVFS; boost trades some savings for shorter queues",
 	}
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, w := range Workloads() {
 		spec, err := extTrace(s, w)
 		if err != nil {
@@ -82,15 +84,9 @@ func ExtBoost(s *Suite) (textplot.Table, error) {
 		}
 		specs = append(specs, spec)
 		for _, boost := range []bool{false, true} {
-			pol, err := extPolicy(core.Params{
-				BSLDThreshold: 2, WQThreshold: core.NoWQLimit,
-				Boost: boost, BoostWQ: 16,
-			})
-			if err != nil {
-				return t, err
-			}
 			run := spec
-			run.Policy = pol
+			run.Policy = bsld2NO
+			run.Policy.Boost, run.Policy.BoostWQ = boost, 16
 			specs = append(specs, run)
 		}
 	}
@@ -118,13 +114,9 @@ func ExtPerJobBeta(s *Suite) (textplot.Table, error) {
 		Header: []string{"Workload", "energy β=0.5", "energy β~U[0.2,0.8]", "BSLD β=0.5", "BSLD β~U"},
 		Note:   "per-job β keeps the mean dilation but lets the policy favour jobs with low penalty",
 	}
-	pol, err := extPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-	if err != nil {
-		return t, err
-	}
 	// Four runs per workload: baseline and policy on the uniform-β trace,
 	// then on the per-job-β trace.
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, w := range Workloads() {
 		model, err := wgen.Preset(w)
 		if err != nil {
@@ -142,8 +134,8 @@ func ExtPerJobBeta(s *Suite) (textplot.Table, error) {
 		}
 		for _, trace := range []*workload.Trace{uniform, perJob} {
 			specs = append(specs,
-				runner.Spec{Trace: trace},
-				runner.Spec{Trace: trace, Policy: pol})
+				scenario.Spec{Trace: trace},
+				scenario.Spec{Trace: trace, Policy: bsld2NO})
 		}
 	}
 	outs, err := runAll(specs)
@@ -174,13 +166,9 @@ func ExtPolicyComparison(s *Suite) (textplot.Table, error) {
 		Note: "utilization-driven reduces on an idle machine regardless of the job's slowdown outlook",
 	}
 	gears := dvfs.PaperGearSet()
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, w := range Workloads() {
 		spec, err := extTrace(s, w)
-		if err != nil {
-			return t, err
-		}
-		bsldPol, err := extPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
 		if err != nil {
 			return t, err
 		}
@@ -190,12 +178,10 @@ func ExtPolicyComparison(s *Suite) (textplot.Table, error) {
 		if err != nil {
 			return t, err
 		}
-		specs = append(specs, spec)
-		for _, pol := range []sched.GearPolicy{bsldPol, utilPol} {
-			run := spec
-			run.Policy = pol
-			specs = append(specs, run)
-		}
+		bsldRun, utilRun := spec, spec
+		bsldRun.Policy = bsld2NO
+		utilRun.GearPolicy = utilPol
+		specs = append(specs, spec, bsldRun, utilRun)
 	}
 	outs, err := runAll(specs)
 	if err != nil {
@@ -227,10 +213,6 @@ func ExtEstimateQuality(s *Suite, workloadName string) (textplot.Table, error) {
 		return t, err
 	}
 	model.Jobs = s.jobs
-	pol, err := extPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-	if err != nil {
-		return t, err
-	}
 	variants := []struct {
 		name   string
 		mutate func(*wgen.Model)
@@ -239,7 +221,7 @@ func ExtEstimateQuality(s *Suite, workloadName string) (textplot.Table, error) {
 		{"default", func(m *wgen.Model) {}},
 		{"sloppy", func(m *wgen.Model) { m.OverestMean *= 3 }},
 	}
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, v := range variants {
 		m := model
 		v.mutate(&m)
@@ -248,8 +230,8 @@ func ExtEstimateQuality(s *Suite, workloadName string) (textplot.Table, error) {
 			return t, err
 		}
 		specs = append(specs,
-			runner.Spec{Trace: tr},
-			runner.Spec{Trace: tr, Policy: pol})
+			scenario.Spec{Trace: tr},
+			scenario.Spec{Trace: tr, Policy: bsld2NO})
 	}
 	outs, err := runAll(specs)
 	if err != nil {
@@ -278,17 +260,13 @@ func ExtLoadSweep(s *Suite, workloadName string) (textplot.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	pol, err := extPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-	if err != nil {
-		return t, err
-	}
 	factors := []float64{0.6, 0.8, 1.0, 1.2, 1.4}
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, factor := range factors {
 		scaled := workload.ScaleLoad(tr, factor)
 		specs = append(specs,
-			runner.Spec{Trace: scaled},
-			runner.Spec{Trace: scaled, Policy: pol})
+			scenario.Spec{Trace: scaled},
+			scenario.Spec{Trace: scaled, Policy: bsld2NO})
 	}
 	outs, err := runAll(specs)
 	if err != nil {
@@ -319,11 +297,7 @@ func ExtSeedSensitivity(s *Suite, replicas int) (textplot.Table, error) {
 			"BSLD penalty mean±sd"},
 		Note: "each replica regenerates the synthetic trace with a different seed; ± is one standard deviation",
 	}
-	pol, err := extPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-	if err != nil {
-		return t, err
-	}
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, w := range Workloads() {
 		model, err := wgen.Preset(w)
 		if err != nil {
@@ -338,8 +312,8 @@ func ExtSeedSensitivity(s *Suite, replicas int) (textplot.Table, error) {
 				return t, err
 			}
 			specs = append(specs,
-				runner.Spec{Trace: tr},
-				runner.Spec{Trace: tr, Policy: pol})
+				scenario.Spec{Trace: tr},
+				scenario.Spec{Trace: tr, Policy: bsld2NO})
 		}
 	}
 	outs, err := runAll(specs)
@@ -384,15 +358,11 @@ func ExtPowerCap(s *Suite, workloadName string) (textplot.Table, error) {
 	peak := float64(spec0.Trace.CPUs) * pm.Active(pm.Gears.Top())
 	thresholds := []float64{2, 5}
 	caps := []float64{0, 0.85, 0.7, 0.55}
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	for _, thr := range thresholds {
-		pol, err := extPolicy(core.Params{BSLDThreshold: thr, WQThreshold: core.NoWQLimit})
-		if err != nil {
-			return t, err
-		}
 		for _, capf := range caps {
 			run := spec0
-			run.Policy = pol
+			run.Policy = scenario.PolicyConfig{BSLDThr: thr, WQThr: core.NoWQLimit}
 			if capf > 0 {
 				run.Controller = scenario.ControllerConfig{CapFrac: capf}
 			}
@@ -445,22 +415,18 @@ func ExtPowerDown(s *Suite) (textplot.Table, error) {
 	pm := dvfs.PaperPowerModel()
 	// Four runs per workload: always-on baseline, DVFS only, power-down
 	// tracking without and with DVFS. Each tracked run owns its tracker.
-	var specs []runner.Spec
+	var specs []scenario.Spec
 	var trackers []*nodepower.Tracker
 	for _, w := range Workloads() {
 		spec, err := extTrace(s, w)
 		if err != nil {
 			return t, err
 		}
-		pol, err := extPolicy(core.Params{BSLDThreshold: 2, WQThreshold: core.NoWQLimit})
-		if err != nil {
-			return t, err
-		}
 		specs = append(specs, spec)
 		dvfsOnly := spec
-		dvfsOnly.Policy = pol
+		dvfsOnly.Policy = bsld2NO
 		specs = append(specs, dvfsOnly)
-		for _, tracked := range []sched.GearPolicy{nil, pol} {
+		for _, tracked := range []scenario.PolicyConfig{{}, bsld2NO} {
 			tracker := nodepower.NewTracker(spec.Trace.CPUs)
 			trackers = append(trackers, tracker)
 			run := spec

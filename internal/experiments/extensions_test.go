@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -83,6 +87,48 @@ func TestRunExtensionsRenders(t *testing.T) {
 	for _, want := range []string{"dynamic frequency boost", "per-job β", "power-down", "power capping"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
+		}
+	}
+	checkCSVDigests(t, dir, "testdata/ext_csv.sha256")
+}
+
+// checkCSVDigests pins every CSV in dir byte-for-byte against a
+// sha256sum-format manifest: each listed file must exist with the listed
+// digest, and no unlisted ext_*.csv may appear.
+func checkCSVDigests(t *testing.T, dir, manifest string) {
+	t.Helper()
+	f, err := os.Open(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) != 2 {
+			t.Fatalf("%s: malformed line %q", manifest, sc.Text())
+		}
+		want[fields[1]] = fields[0]
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := filepath.Glob(filepath.Join(dir, "ext_*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Errorf("wrote %d extension CSVs, manifest lists %d", len(got), len(want))
+	}
+	for _, path := range got {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Base(path)
+		if d := fmt.Sprintf("%x", sha256.Sum256(b)); d != want[name] {
+			t.Errorf("%s: sha256 %s, pinned %q", name, d, want[name])
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package experiments
 
-import "repro/internal/sweep"
+import "repro/internal/scenario"
 
 // Reference values transcribed from the paper, used to annotate the
 // reproduction's output and to fill EXPERIMENTS.md with paper-vs-measured
@@ -10,11 +10,11 @@ import "repro/internal/sweep"
 // PaperPolicies returns the Figures 3–5 policy axis — every BSLD
 // threshold × wait-queue threshold combination of the evaluation — in
 // presentation order (threshold outer, WQ inner).
-func PaperPolicies() []sweep.PolicyConfig {
-	var pols []sweep.PolicyConfig
+func PaperPolicies() []scenario.PolicyConfig {
+	var pols []scenario.PolicyConfig
 	for _, thr := range BSLDThresholds() {
 		for _, wq := range WQThresholds() {
-			pols = append(pols, sweep.PolicyConfig{BSLDThr: thr, WQThr: wq})
+			pols = append(pols, scenario.PolicyConfig{BSLDThr: thr, WQThr: wq})
 		}
 	}
 	return pols

@@ -35,7 +35,7 @@ func (c Config) baseline() bool { return c.BSLDThr == 0 }
 // label is the column caption used in tables ("1.5/4", "2/NO", "noDVFS");
 // it shares the sweep cell caption so tables and CSV rows never diverge.
 func (c Config) label() string {
-	return sweep.PolicyConfig{BSLDThr: c.BSLDThr, WQThr: c.WQThr}.Label()
+	return scenario.PolicyConfig{BSLDThr: c.BSLDThr, WQThr: c.WQThr}.Label()
 }
 
 // Cell is one simulated grid point.

@@ -152,8 +152,8 @@ func TestClassStrings(t *testing.T) {
 }
 
 // The per-job analyses must fail loudly on a streaming collector instead
-// of silently reporting all-zero results (the regression PR 3 introduced
-// when streaming became the runner default).
+// of silently reporting all-zero results (the regression that appeared
+// when the streaming collector became the default).
 func TestAnalysesRejectStreamingCollector(t *testing.T) {
 	c := NewStreamingCollector(dvfs.PaperPowerModel(), 600)
 	if _, err := c.WaitPercentiles(); err != ErrStreaming {

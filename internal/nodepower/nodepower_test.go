@@ -11,8 +11,8 @@ import (
 	"repro/internal/workload"
 )
 
-// defaultBeta mirrors scenario.DefaultBeta; importing it (or runner)
-// from an in-package test would close an import cycle now that the
+// defaultBeta mirrors scenario.DefaultBeta; importing it from an
+// in-package test would close an import cycle now that the
 // scenario compiler builds on altpolicy and nodepower.
 const defaultBeta = 0.5
 

@@ -125,7 +125,7 @@ func (c *Compiler) Compile(spec Spec) (*Scenario, error) {
 			}
 		}
 	case !spec.Policy.Baseline():
-		pol, err := core.NewPolicy(spec.Policy.params(), gears, dvfs.NewTimeModel(beta, gears))
+		pol, err := core.NewPolicy(spec.Policy.params(shortTh), gears, dvfs.NewTimeModel(beta, gears))
 		if err != nil {
 			return nil, err
 		}

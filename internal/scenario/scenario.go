@@ -23,9 +23,11 @@
 //	})
 //	out, err := sc.Execute() // from as many goroutines as you like
 //
-// runner.Run and BaselinePair are thin adapters over this package, the
-// sweep grid expands to scenarios, and cmd/schedd serves scenarios over
-// HTTP with an LRU cache keyed by Scenario.Hash.
+// Spec is the one run description of the repository: the CLIs, the
+// examples, the experiments and the benchmarks all compile a Spec and
+// call Execute or ExecutePair, the sweep grid expands to scenarios, and
+// cmd/schedd serves scenarios over HTTP with an LRU cache keyed by
+// Scenario.Hash.
 package scenario
 
 import (
@@ -41,12 +43,13 @@ import (
 )
 
 // DefaultBeta is the β of the execution time model the paper assumes for
-// all jobs; runner.DefaultBeta aliases it.
+// all jobs; a Spec with a nil Beta runs at it.
 const DefaultBeta = 0.5
 
 // PolicyConfig selects the paper's gear policy as pure data. The zero
-// value is the no-DVFS baseline (top gear for every job). sweep.PolicyConfig
-// aliases this type, so grid JSON and what-if requests share one shape.
+// value is the no-DVFS baseline (top gear for every job). Sweep grids and
+// what-if requests use this type, so grid JSON and cmd/schedd requests
+// share one shape.
 type PolicyConfig struct {
 	// BSLDThr is the BSLD threshold of the paper's algorithm; 0 selects
 	// the baseline without DVFS.
@@ -89,13 +92,16 @@ func (p PolicyConfig) Validate() error {
 	return params.Validate()
 }
 
-// params returns the core.Params the configuration describes.
-func (p PolicyConfig) params() core.Params {
+// params returns the core.Params the configuration describes under the
+// scenario's resolved short-job threshold Th, so the policy predicts BSLD
+// with the same Th the metrics collector reports it with.
+func (p PolicyConfig) params(shortTh float64) core.Params {
 	return core.Params{
-		BSLDThreshold: p.BSLDThr,
-		WQThreshold:   p.WQThr,
-		Boost:         p.Boost,
-		BoostWQ:       p.BoostWQ,
+		BSLDThreshold:     p.BSLDThr,
+		WQThreshold:       p.WQThr,
+		ShortJobThreshold: shortTh,
+		Boost:             p.Boost,
+		BoostWQ:           p.BoostWQ,
 	}
 }
 
@@ -139,8 +145,10 @@ func (c ControllerConfig) Label() string {
 // Spec describes a run before compilation. The JSON-visible fields form
 // the data-level description cmd/schedd accepts over the wire and are the
 // ones the canonical hash covers; the `json:"-"` fields are escape
-// hatches for callers that already hold resolved objects (runner's legacy
-// Spec adapts through them).
+// hatches for callers that already hold resolved objects (a materialized
+// trace, a pre-built gear policy, extra recorders). Zero values select
+// the paper's defaults; Beta and ShortJobTh are pointers so an explicit
+// zero is rejected instead of silently meaning the default.
 type Spec struct {
 	// Workload names the workload: a wgen preset (CTC, Million, ...) or a
 	// path ending in .swf. Exactly one of Workload, Trace, Source and
@@ -166,7 +174,7 @@ type Spec struct {
 	// (immutable) job slice, each through its own cursor.
 	Trace *workload.Trace `json:"-"`
 	// Source is a single pre-built stream. The scheduler rewinds it per
-	// execution, so sequential re-execution works (BaselinePair), but a
+	// execution, so sequential re-execution works (ExecutePair), but a
 	// scenario compiled from one shared cursor is NOT safe for concurrent
 	// Execute — see Scenario.ConcurrentSafe.
 	Source workload.JobSource `json:"-"`
@@ -229,7 +237,7 @@ type Spec struct {
 	ExtraRecorders []sched.Recorder `json:"-"`
 }
 
-// Outcome is the result of one execution. runner.Outcome aliases it.
+// Outcome is the result of one execution.
 type Outcome struct {
 	Results   metrics.Results
 	Collector *metrics.Collector // nil unless Spec.KeepCollector
@@ -310,6 +318,12 @@ func (s *Scenario) Jobs() int { return s.jobCount }
 
 // CPUs is the resolved machine size (after SizeFactor/CPUs).
 func (s *Scenario) CPUs() int { return s.cpus }
+
+// Variant is the resolved base scheduling policy.
+func (s *Scenario) Variant() sched.Variant { return s.variant }
+
+// Selection is the resolved resource selection policy.
+func (s *Scenario) Selection() cluster.Selection { return s.selection }
 
 // PolicyName names the gear policy ("bsld(2,16)", "fixed(2.3GHz)").
 func (s *Scenario) PolicyName() string {

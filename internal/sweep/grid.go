@@ -18,19 +18,10 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/dvfs"
-	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
-
-// PolicyConfig selects the gear policy of one grid cell. It is the
-// scenario layer's policy configuration — grid JSON, legacy sweeps and
-// what-if requests all share one shape. The zero value is the no-DVFS
-// baseline (top gear for every job).
-type PolicyConfig = scenario.PolicyConfig
 
 // Grid declares one sweep as a cross product of axes. Empty axes collapse
 // to a single default value (noted per field), so a Grid with only Traces
@@ -39,7 +30,7 @@ type Grid struct {
 	// Traces names workload presets (wgen.Preset) or .swf files.
 	Traces []string `json:"traces"`
 	// Policies are the gear policies; empty → the no-DVFS baseline only.
-	Policies []PolicyConfig `json:"policies,omitempty"`
+	Policies []scenario.PolicyConfig `json:"policies,omitempty"`
 	// SizeFactors scale the machine (empty → 1.0, the original size).
 	SizeFactors []float64 `json:"size_factors,omitempty"`
 	// CPUs overrides the machine size outright; 0 keeps the size-factor
@@ -59,20 +50,21 @@ type Grid struct {
 	CapFracs []float64 `json:"cap_fracs,omitempty"`
 }
 
-// Point is one expanded grid cell: pure data, resolvable to a runner.Spec.
+// Point is one expanded grid cell: pure data, compiled to a scenario by
+// Resolver.Scenario.
 type Point struct {
 	// Index is the cell's position in grid order; Pool results keep it.
 	Index int `json:"index"`
 
-	Trace        string       `json:"trace"`
-	Policy       PolicyConfig `json:"policy"`
-	SizeFactor   float64      `json:"size_factor"`
-	CPUs         int          `json:"cpus,omitempty"`
-	Variant      string       `json:"variant"`
-	Selection    string       `json:"selection"`
-	Order        string       `json:"order"`
-	Reservations int          `json:"reservations"`
-	CapFrac      float64      `json:"cap_frac,omitempty"`
+	Trace        string                `json:"trace"`
+	Policy       scenario.PolicyConfig `json:"policy"`
+	SizeFactor   float64               `json:"size_factor"`
+	CPUs         int                   `json:"cpus,omitempty"`
+	Variant      string                `json:"variant"`
+	Selection    string                `json:"selection"`
+	Order        string                `json:"order"`
+	Reservations int                   `json:"reservations"`
+	CapFrac      float64               `json:"cap_frac,omitempty"`
 }
 
 // Label is a human-readable cell caption for progress lines and CSV rows.
@@ -106,7 +98,7 @@ func (p Point) Label() string {
 // single default value. Validation and expansion share it so they agree.
 func (g Grid) withDefaults() Grid {
 	if len(g.Policies) == 0 {
-		g.Policies = []PolicyConfig{{}}
+		g.Policies = []scenario.PolicyConfig{{}}
 	}
 	if len(g.SizeFactors) == 0 {
 		g.SizeFactors = []float64{1}
@@ -158,7 +150,7 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("sweep: negative CPUs override %d", c)
 		}
 	}
-	// A CPUs override makes runner.Run ignore the size factor, so crossing
+	// A CPUs override makes the compiler ignore the size factor, so crossing
 	// the two axes would run duplicate cells whose size_factor column lies.
 	for _, c := range d.CPUs {
 		if c == 0 {
@@ -247,35 +239,29 @@ func (g Grid) Points() []Point {
 	return pts
 }
 
-// Resolver materializes Points into compiled scenarios (or legacy
-// runner.Specs): it owns workload loading and the gear/power model shared
-// by every cell of a sweep. With neither a Trace nor a Source loader set,
-// Scenario resolves workload names through the scenario layer's shared
-// arena cache — SWF logs parse once, presets generate or stream once —
-// while the legacy Spec method still requires an explicit loader.
+// Resolver compiles Points into scenarios: it owns workload loading and
+// the scenario compiler shared by every cell of a sweep. With neither a
+// Trace nor a Source loader set, workload names resolve through the
+// compiler's shared arena cache — SWF logs parse once, presets generate
+// or stream once.
 type Resolver struct {
 	// Trace loads a workload by name. Optional: without it (and without
-	// Source) the Scenario method resolves names through the scenario
-	// compiler instead.
+	// Source) names resolve through the scenario compiler instead.
 	Trace func(name string) (*workload.Trace, error)
 	// Source, when set, takes precedence over Trace and loads the
-	// workload as a streaming source instead. It is invoked once per grid
-	// cell and must return an INDEPENDENT source each call: concurrent
-	// pool workers each own their cell's cursor, so runs never share
-	// mutable workload state (where Trace-based sweeps hand every worker
-	// the same materialized slice). With a generating source
+	// workload as a streaming source instead. It becomes the scenario's
+	// workload factory — invoked once at compile time to probe the
+	// workload and once per execution — and must return an INDEPENDENT
+	// source each call: concurrent pool workers each own their cell's
+	// cursor, so runs never share mutable workload state (where
+	// Trace-based sweeps hand every worker the same materialized slice).
+	// With a generating source
 	// (wgen.Stream) workers regenerate on the fly and a sweep's memory
 	// stays O(workers · running jobs) instead of O(trace).
 	Source func(name string) (workload.JobSource, error)
-	// Gears is the DVFS gear set (nil → paper gear set).
-	Gears dvfs.GearSet
-	// Beta is the β of the execution time model (0 → runner.DefaultBeta).
-	Beta float64
-	// KeepCollector retains per-job records in every outcome.
-	KeepCollector bool
 
 	// Jobs, SWFCPUs, Filter and Materialize parameterize name-based
-	// workload resolution (loader-less Scenario calls only): they are the
+	// workload resolution (loader-less resolvers only): they are the
 	// scenario.Spec fields of the same names.
 	Jobs        int
 	SWFCPUs     int
@@ -287,86 +273,6 @@ type Resolver struct {
 	comp scenario.Compiler
 }
 
-// gears returns the effective gear set.
-func (r *Resolver) gears() dvfs.GearSet {
-	if r.Gears != nil {
-		return r.Gears
-	}
-	return dvfs.PaperGearSet()
-}
-
-// beta returns the effective dilation exponent.
-func (r *Resolver) beta() float64 {
-	if r.Beta != 0 {
-		return r.Beta
-	}
-	return runner.DefaultBeta
-}
-
-// Spec resolves one grid point into a runnable spec. With a Source
-// loader every call builds a fresh, independent source, so the returned
-// specs can execute concurrently.
-func (r *Resolver) Spec(p Point) (runner.Spec, error) {
-	var (
-		tr  *workload.Trace
-		src workload.JobSource
-		err error
-	)
-	switch {
-	case r.Source != nil:
-		src, err = r.Source(p.Trace)
-	case r.Trace != nil:
-		tr, err = r.Trace(p.Trace)
-	default:
-		return runner.Spec{}, fmt.Errorf("sweep: resolver has no trace loader")
-	}
-	if err != nil {
-		return runner.Spec{}, fmt.Errorf("sweep: trace %q: %w", p.Trace, err)
-	}
-	variant, err := sched.ParseVariant(p.Variant)
-	if err != nil {
-		return runner.Spec{}, err
-	}
-	selection, err := cluster.ParseSelection(p.Selection)
-	if err != nil {
-		return runner.Spec{}, err
-	}
-	order, err := sched.ParseOrder(p.Order)
-	if err != nil {
-		return runner.Spec{}, err
-	}
-	spec := runner.Spec{
-		Trace:         tr,
-		Source:        src,
-		SizeFactor:    p.SizeFactor,
-		CPUs:          p.CPUs,
-		Variant:       variant,
-		Selection:     selection,
-		Order:         order,
-		Reservations:  p.Reservations,
-		Gears:         r.Gears,
-		Beta:          r.Beta,
-		KeepCollector: r.KeepCollector,
-	}
-	if p.CapFrac > 0 {
-		spec.Controller = scenario.ControllerConfig{CapFrac: p.CapFrac}
-	}
-	if !p.Policy.Baseline() {
-		gears := r.gears()
-		pol, err := core.NewPolicy(core.Params{
-			BSLDThreshold: p.Policy.BSLDThr,
-			WQThreshold:   p.Policy.WQThr,
-			Boost:         p.Policy.Boost,
-			BoostWQ:       p.Policy.BoostWQ,
-		}, gears, dvfs.NewTimeModel(r.beta(), gears))
-		if err != nil {
-			return runner.Spec{}, fmt.Errorf("sweep: point %s: %w", p.Label(), err)
-		}
-		spec.Policy = pol
-	}
-	return spec, nil
-}
-
 // Scenario compiles one grid point into an immutable scenario through
 // the resolver's shared compiler. A custom Trace loader feeds the
 // compiled scenario a shared arena; a custom Source loader becomes the
@@ -376,22 +282,16 @@ func (r *Resolver) Spec(p Point) (runner.Spec, error) {
 // same workload shares one parse/generation.
 func (r *Resolver) Scenario(p Point) (*scenario.Scenario, error) {
 	ss := scenario.Spec{
-		Policy:        p.Policy,
-		SizeFactor:    p.SizeFactor,
-		CPUs:          p.CPUs,
-		Variant:       p.Variant,
-		Selection:     p.Selection,
-		Order:         p.Order,
-		Reservations:  p.Reservations,
-		Gears:         r.Gears,
-		KeepCollector: r.KeepCollector,
+		Policy:       p.Policy,
+		SizeFactor:   p.SizeFactor,
+		CPUs:         p.CPUs,
+		Variant:      p.Variant,
+		Selection:    p.Selection,
+		Order:        p.Order,
+		Reservations: p.Reservations,
 	}
 	if p.CapFrac > 0 {
 		ss.Controller = scenario.ControllerConfig{CapFrac: p.CapFrac}
-	}
-	if r.Beta != 0 {
-		beta := r.Beta
-		ss.Beta = &beta
 	}
 	switch {
 	case r.Source != nil:

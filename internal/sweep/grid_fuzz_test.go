@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 )
 
 // FuzzGridValidate hardens grid axis validation against arbitrary input:
@@ -24,7 +25,7 @@ func FuzzGridValidate(f *testing.F) {
 		}
 		g := Grid{
 			Traces:       names,
-			Policies:     []PolicyConfig{{BSLDThr: bsld, WQThr: wq, Boost: boost, BoostWQ: wq}},
+			Policies:     []scenario.PolicyConfig{{BSLDThr: bsld, WQThr: wq, Boost: boost, BoostWQ: wq}},
 			SizeFactors:  []float64{sf},
 			CPUs:         []int{cpus},
 			Variants:     []string{variant},

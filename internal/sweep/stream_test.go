@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/wgen"
 	"repro/internal/workload"
 )
@@ -13,7 +14,7 @@ import (
 func streamGrid() Grid {
 	return Grid{
 		Traces: []string{"CTC", "SDSCBlue"},
-		Policies: []PolicyConfig{
+		Policies: []scenario.PolicyConfig{
 			{},
 			{BSLDThr: 2, WQThr: 16},
 			{BSLDThr: 3, WQThr: core.NoWQLimit},
@@ -98,13 +99,5 @@ func TestSweepStreamingRepeatable(t *testing.T) {
 		if first[i].Outcome.Results != second[i].Outcome.Results {
 			t.Fatalf("run %d (%s) drifted across sweep executions", i, first[i].Point.Label())
 		}
-	}
-}
-
-// TestResolverRequiresLoader keeps the no-loader diagnostic.
-func TestResolverRequiresLoader(t *testing.T) {
-	r := &Resolver{}
-	if _, err := r.Spec(Point{Trace: "CTC"}); err == nil {
-		t.Fatal("resolver without loaders built a spec")
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/runner"
+	"repro/internal/scenario"
 	"repro/internal/wgen"
 	"repro/internal/workload"
 )
@@ -30,10 +30,25 @@ func testLoader(jobs int) func(string) (*workload.Trace, error) {
 	})
 }
 
+// ctcScenario compiles the no-DVFS baseline over a CTC segment of the
+// given length, the workload of the pool tests.
+func ctcScenario(t *testing.T, jobs int) *scenario.Scenario {
+	t.Helper()
+	tr, err := testLoader(jobs)("CTC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scenario.Compile(scenario.Spec{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 func TestGridExpansionOrderAndCount(t *testing.T) {
 	g := Grid{
 		Traces:      []string{"CTC", "SDSC"},
-		Policies:    []PolicyConfig{{}, {BSLDThr: 2, WQThr: core.NoWQLimit}},
+		Policies:    []scenario.PolicyConfig{{}, {BSLDThr: 2, WQThr: core.NoWQLimit}},
 		SizeFactors: []float64{1, 1.5},
 	}
 	pts := g.Points()
@@ -72,7 +87,7 @@ func TestGridDefaultsCollapseEmptyAxes(t *testing.T) {
 func TestGridFullCrossProduct(t *testing.T) {
 	g := Grid{
 		Traces:       []string{"CTC"},
-		Policies:     []PolicyConfig{{}, {BSLDThr: 1.5, WQThr: 0}, {BSLDThr: 3, WQThr: 4}},
+		Policies:     []scenario.PolicyConfig{{}, {BSLDThr: 1.5, WQThr: 0}, {BSLDThr: 3, WQThr: 4}},
 		SizeFactors:  []float64{1, 1.2},
 		CPUs:         []int{0, 512},
 		Variants:     []string{"easy", "fcfs"},
@@ -105,14 +120,14 @@ func TestGridValidate(t *testing.T) {
 		{"minimal", Grid{Traces: []string{"CTC"}}, true},
 		{"full paper axes", Grid{
 			Traces:   []string{"CTC"},
-			Policies: []PolicyConfig{{BSLDThr: 2, WQThr: core.NoWQLimit}},
+			Policies: []scenario.PolicyConfig{{BSLDThr: 2, WQThr: core.NoWQLimit}},
 		}, true},
 		{"no traces", Grid{}, false},
 		{"empty trace name", Grid{Traces: []string{""}}, false},
 		{"bsld below 1", Grid{Traces: []string{"CTC"},
-			Policies: []PolicyConfig{{BSLDThr: 0.5}}}, false},
+			Policies: []scenario.PolicyConfig{{BSLDThr: 0.5}}}, false},
 		{"negative wq", Grid{Traces: []string{"CTC"},
-			Policies: []PolicyConfig{{BSLDThr: 2, WQThr: -1}}}, false},
+			Policies: []scenario.PolicyConfig{{BSLDThr: 2, WQThr: -1}}}, false},
 		{"zero size factor", Grid{Traces: []string{"CTC"},
 			SizeFactors: []float64{0}}, false},
 		{"negative size factor", Grid{Traces: []string{"CTC"},
@@ -149,7 +164,7 @@ func TestGridValidate(t *testing.T) {
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	g := Grid{
 		Traces: []string{"CTC", "SDSC"},
-		Policies: []PolicyConfig{
+		Policies: []scenario.PolicyConfig{
 			{},
 			{BSLDThr: 2, WQThr: 16},
 			{BSLDThr: 3, WQThr: core.NoWQLimit},
@@ -212,14 +227,10 @@ func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 // context error, and leave no worker goroutines behind.
 func TestPoolCancellationPromptNoLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
-	loader := testLoader(300)
-	tr, err := loader("CTC")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := ctcScenario(t, 300)
 	runs := make([]Run, 64)
 	for i := range runs {
-		runs[i] = Run{Point: Point{Index: i, Trace: "CTC"}, Spec: runner.Spec{Trace: tr}}
+		runs[i] = Run{Point: Point{Index: i, Trace: "CTC"}, Scenario: sc}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	pool := &Pool{Workers: 2}
@@ -268,15 +279,27 @@ func TestPoolCancellationPromptNoLeaks(t *testing.T) {
 }
 
 func TestPoolPerRunErrorCapture(t *testing.T) {
-	loader := testLoader(100)
-	tr, err := loader("CTC")
+	sc := ctcScenario(t, 100)
+	// A workload factory that serves the compile-time probe and then
+	// fails, so the scenario compiles but every execution errors.
+	tr, err := testLoader(100)("CTC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	broken, err := scenario.Compile(scenario.Spec{Factory: func() (workload.JobSource, error) {
+		if calls++; calls > 1 {
+			return nil, errors.New("workload gone")
+		}
+		return tr.Source(), nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runs := []Run{
-		{Point: Point{Index: 0}, Spec: runner.Spec{Trace: tr}},
-		{Point: Point{Index: 1}, Spec: runner.Spec{}}, // nil trace: must fail
-		{Point: Point{Index: 2}, Spec: runner.Spec{Trace: tr}},
+		{Point: Point{Index: 0}, Scenario: sc},
+		{Point: Point{Index: 1}, Scenario: broken}, // execution must fail
+		{Point: Point{Index: 2}, Scenario: sc},
 	}
 	results, err := (&Pool{Workers: 3}).Execute(context.Background(), runs)
 	if err != nil {
@@ -286,7 +309,7 @@ func TestPoolPerRunErrorCapture(t *testing.T) {
 		t.Errorf("healthy runs failed: %v, %v", results[0].Err, results[2].Err)
 	}
 	if results[1].Err == nil {
-		t.Error("nil-trace run reported no error")
+		t.Error("failing run reported no error")
 	}
 	if !reflect.DeepEqual(results[0].Outcome.Results, results[2].Outcome.Results) {
 		t.Error("identical specs produced different results")
@@ -347,14 +370,10 @@ func TestForEachEmptyAndCompletes(t *testing.T) {
 }
 
 func TestProgressCallbackSequence(t *testing.T) {
-	loader := testLoader(100)
-	tr, err := loader("CTC")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := ctcScenario(t, 100)
 	runs := make([]Run, 10)
 	for i := range runs {
-		runs[i] = Run{Point: Point{Index: i}, Spec: runner.Spec{Trace: tr}}
+		runs[i] = Run{Point: Point{Index: i}, Scenario: sc}
 	}
 	var seen []int
 	pool := &Pool{Workers: 4, OnProgress: func(done, total int, r Result) {
@@ -412,57 +431,68 @@ func TestCachedLoaderLoadsOnce(t *testing.T) {
 	}
 }
 
-func TestResolverSpecBuildsPolicy(t *testing.T) {
-	r := &Resolver{Trace: testLoader(100)}
-	base, err := r.Spec(Point{Trace: "CTC", SizeFactor: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Policy != nil {
-		t.Error("baseline point resolved with a gear policy")
-	}
-	pol, err := r.Spec(Point{Trace: "CTC", SizeFactor: 1,
-		Policy: PolicyConfig{BSLDThr: 2, WQThr: 16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pol.Policy == nil {
-		t.Fatal("policy point resolved without a gear policy")
-	}
-	if _, err := r.Spec(Point{Trace: "nosuch", SizeFactor: 1}); err == nil {
-		t.Error("unknown trace accepted")
-	}
-	if _, err := r.Spec(Point{Trace: "CTC", SizeFactor: 1, Variant: "bogus"}); err == nil {
-		t.Error("bogus variant accepted")
+// TestResolverScenarioBuildsPolicy: a point's policy config compiles
+// into the scenario's gear policy, through a trace loader and through
+// the loader-less name resolution alike, and bad points fail to compile.
+func TestResolverScenarioBuildsPolicy(t *testing.T) {
+	for name, r := range map[string]*Resolver{
+		"loader":  {Trace: testLoader(100)},
+		"by-name": {Jobs: 100},
+	} {
+		base, err := r.Scenario(Point{Trace: "CTC", SizeFactor: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !base.Baseline() {
+			t.Errorf("%s: baseline point compiled with a gear policy", name)
+		}
+		pol, err := r.Scenario(Point{Trace: "CTC", SizeFactor: 1,
+			Policy: scenario.PolicyConfig{BSLDThr: 2, WQThr: 16}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pol.PolicyName(); got != "bsld(2,16)" {
+			t.Errorf("%s: policy point compiled to %q, want bsld(2,16)", name, got)
+		}
+		if pol.Jobs() != 100 {
+			t.Errorf("%s: %d jobs, want 100", name, pol.Jobs())
+		}
+		if _, err := r.Scenario(Point{Trace: "nosuch", SizeFactor: 1}); err == nil {
+			t.Errorf("%s: unknown trace accepted", name)
+		}
+		if _, err := r.Scenario(Point{Trace: "CTC", SizeFactor: 1, Variant: "bogus"}); err == nil {
+			t.Errorf("%s: bogus variant accepted", name)
+		}
 	}
 }
 
-// A sweep through runner.BaselinePair semantics: the grid's baseline cell
-// must equal what BaselinePair computes as the denominator run.
+// A sweep against a (policy, baseline) pair: the grid's baseline cell
+// must equal the baseline leg ExecutePair computes as the denominator
+// run, and the grid's policy cell its policy leg.
 func TestSweepBaselineMatchesBaselinePair(t *testing.T) {
 	r := &Resolver{Trace: testLoader(150)}
-	spec, err := r.Spec(Point{Trace: "SDSC", SizeFactor: 1,
-		Policy: PolicyConfig{BSLDThr: 2, WQThr: core.NoWQLimit}})
+	sc, err := r.Scenario(Point{Trace: "SDSC", SizeFactor: 1,
+		Policy: scenario.PolicyConfig{BSLDThr: 2, WQThr: core.NoWQLimit}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPol, base, err := runner.BaselinePair(spec)
+	withPol, base, err := sc.ExecutePair()
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := Grid{
 		Traces:   []string{"SDSC"},
-		Policies: []PolicyConfig{{}, {BSLDThr: 2, WQThr: core.NoWQLimit}},
+		Policies: []scenario.PolicyConfig{{}, {BSLDThr: 2, WQThr: core.NoWQLimit}},
 	}
 	results, err := Sweep(context.Background(), g, r, &Pool{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if results[0].Outcome.Results != base.Results {
-		t.Error("grid baseline cell differs from BaselinePair baseline")
+		t.Error("grid baseline cell differs from the ExecutePair baseline")
 	}
 	if results[1].Outcome.Results != withPol.Results {
-		t.Error("grid policy cell differs from BaselinePair policy run")
+		t.Error("grid policy cell differs from the ExecutePair policy run")
 	}
 }
 
@@ -470,14 +500,10 @@ func TestSweepBaselineMatchesBaselinePair(t *testing.T) {
 // completed must not surface the context error — the result set is fully
 // valid and callers would otherwise discard it.
 func TestPoolLateCancellationKeepsResults(t *testing.T) {
-	loader := testLoader(40)
-	tr, err := loader("CTC")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := ctcScenario(t, 40)
 	runs := make([]Run, 6)
 	for i := range runs {
-		runs[i] = Run{Point: Point{Index: i, Trace: "CTC"}, Spec: runner.Spec{Trace: tr}}
+		runs[i] = Run{Point: Point{Index: i, Trace: "CTC"}, Scenario: sc}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
